@@ -1,9 +1,17 @@
 """Connection state: master polling loop and slave listening loop.
 
-Master side (:class:`ConnectionMaster`): every even (master TX) slot a
-polling policy picks one action — beacon for parked slaves, eager poll for
-a slave returning from hold, data or keep-alive poll — the packet goes out
-on the channel hopping sequence, and the reply window opens one slot later.
+Master side (:class:`ConnectionMaster`): at each master-slot pair it
+evaluates, a polling policy picks at most one action — beacon for parked
+slaves, eager poll for a slave returning from hold, data or keep-alive
+poll — the packet goes out on the channel hopping sequence, and the reply
+window opens one slot later.  The loop is event-driven: the master keeps
+exactly one pending wake event and, after a pair on which it could not
+act, sleeps until the pair the policy names in
+:meth:`~repro.link.polling.PollingPolicy.next_pair`.  Every change to the
+state the policy reads (a TX-buffer load, a slave joining or leaving, a
+sniff/hold/park change, a new policy) pulls the wake forward with
+:meth:`ConnectionMaster.wake`, so outcomes are those of evaluating every
+pair.  Like a sniffing slave, the master only wakes where it may act.
 
 Slave side (:class:`ConnectionSlave`): in **active** mode the slave opens a
 short uncertainty window (default 32.5 µs) at every master slot start and
@@ -33,11 +41,13 @@ from repro.link.buffers import InboundData
 from repro.link.hold import HoldSchedule, schedule_hold
 from repro.link.piconet import HoldParams, ParkParams, Piconet, SniffParams
 from repro.link.polling import PollingPolicy, RoundRobinPolicy, SlotAction
-from repro.link.sniff import in_attempt_window, validate as validate_sniff
+from repro.link.sniff import in_attempt_window, next_attempt_slot, \
+    validate as validate_sniff
 from repro.link.park import next_beacon_slot, validate as validate_park
 from repro.link.states import ConnectionMode, DeviceState
 from repro.phy.rf import RxExpect
 from repro.phy.transmission import Transmission, TxMeta
+from repro.sim.event import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Reception
@@ -49,6 +59,11 @@ def _pairs(slots: int) -> int:
     return max(1, slots // 2)
 
 
+def _next_multiple(pair: int, interval: int) -> int:
+    """First multiple of ``interval`` >= ``pair``."""
+    return pair + -pair % interval
+
+
 class ConnectionMaster:
     """Master-side connection logic for one piconet."""
 
@@ -56,12 +71,16 @@ class ConnectionMaster:
                  policy: Optional[PollingPolicy] = None):
         self.device = device
         self.piconet = piconet
-        self.policy = policy or RoundRobinPolicy()
+        self._policy = policy or RoundRobinPolicy()
         self.arq: dict[int, LinkArq] = {}
         self.hold_schedules: dict[int, HoldSchedule] = {}
         self._resync_needed: set[int] = set()
-        self._last_resync_poll: dict[int, int] = {}
         self._running = False
+        #: the one pending ``_even_slot`` event (None while suspended, or
+        #: while the policy names no pair it could ever act on)
+        self._wake: Optional[EventHandle] = None
+        #: the last pair ``_even_slot`` evaluated
+        self._last_pair: Optional[int] = None
         self._beacon_interval_pairs: Optional[int] = None
         self.stats_tx_packets = 0
         self.stats_rx_packets = 0
@@ -82,15 +101,74 @@ class ConnectionMaster:
         self.device.active_handler = self
         for am_addr in self.piconet.slaves:
             self.arq.setdefault(am_addr, LinkArq())
-        self.device.sim.schedule_abs(self._next_master_slot(), self._even_slot)
+        self._wake = self.device.sim.schedule_abs(self._next_master_slot(),
+                                                  self._even_slot)
 
     def suspend(self) -> None:
         """Pause the loop (e.g. while paging an additional slave)."""
         self._running = False
+        self._cancel_wake()
 
     def add_slave(self, am_addr: int) -> None:
         """Register ARQ state for a freshly connected slave."""
         self.arq.setdefault(am_addr, LinkArq())
+        self.wake()
+
+    @property
+    def policy(self) -> PollingPolicy:
+        """The slot scheduling policy; replacing it wakes the master."""
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: PollingPolicy) -> None:
+        self._policy = policy
+        self.wake()
+
+    # -- the wake event -------------------------------------------------------
+
+    def wake(self) -> None:
+        """Evaluate the policy at the earliest pair not yet evaluated.
+
+        Called on every change to the state the policy reads.
+
+        Same-instant rule: a change made exactly on a pair boundary, at
+        delta 0, before the master evaluated that pair is seen by that
+        pair's evaluation.  A change at a later delta of that instant, or
+        after the pair was evaluated, waits for the next pair.  This keeps
+        the order of a master that evaluates every pair, whose event for a
+        pair is queued one pair earlier: host calls between run steps and
+        events queued more than a pair ahead (LMP ``_at_pair`` changes are
+        queued 12 pairs ahead) run before it.
+        """
+        if not self._running:
+            return
+        sim = self.device.sim
+        clock = self.device.clock
+        now = sim.now
+        ticks = clock.ticks(now)
+        pair = ticks // 4
+        if ticks & 3 or sim.delta or pair == self._last_pair \
+                or clock.time_at_tick(ticks) != now:
+            pair += 1
+        self._wake_at(pair)
+
+    def _wake_at(self, pair: Optional[int]) -> None:
+        """Make ``pair`` the pending wake unless an earlier one is queued;
+        ``None`` leaves the master asleep until the next :meth:`wake`."""
+        if pair is None:
+            return
+        time_ns = self.device.clock.time_at_tick(pair * 4)
+        wake = self._wake
+        if wake is not None:
+            if wake.time_ns <= time_ns:
+                return
+            wake.cancel()
+        self._wake = self.device.sim.schedule_abs(time_ns, self._even_slot)
+
+    def _cancel_wake(self) -> None:
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
 
     # -- clock helpers ------------------------------------------------------
 
@@ -102,12 +180,6 @@ class ConnectionMaster:
         if now_ns is None:
             now_ns = self.device.sim.now
         return self.device.clock.ticks(now_ns) // 4
-
-    def soa_clock_state(self) -> tuple[int, int]:
-        """``(phase_ns, offset_ticks)`` of the clock this handler slots
-        against — the master's native clock — for the SoA world array."""
-        clock = self.device.clock
-        return (clock.phase_ns, clock.offset_ticks)
 
     # -- scheduling hooks used by the policy ---------------------------------
 
@@ -121,45 +193,62 @@ class ConnectionMaster:
         """Has this slave's hold expired without contact yet?"""
         return am_addr in self._resync_needed
 
+    def next_beacon_pair(self, pair: int) -> Optional[int]:
+        """First beacon pair >= ``pair`` (None when nobody is parked)."""
+        if self._beacon_interval_pairs is None:
+            return None
+        return _next_multiple(pair, self._beacon_interval_pairs)
+
     def resync_poll_due(self, am_addr: int, pair: int) -> bool:
         """Resync polls ride the master's free-running schedule: one poll per
         ``hold_resync_poll_slots``, *not* anchored at the hold expiry. The
         returning slave therefore waits uniformly in [0, interval) — the
         resynchronisation cost that produces the paper's Fig. 12 crossover
         (see DESIGN.md calibration notes)."""
-        interval = _pairs(self.device.cfg.link.hold_resync_poll_slots)
-        return pair % interval == 0
+        return pair % self._resync_interval_pairs() == 0
+
+    def next_resync_poll_pair(self, pair: int) -> int:
+        """First resync-poll pair >= ``pair``."""
+        return _next_multiple(pair, self._resync_interval_pairs())
+
+    def _resync_interval_pairs(self) -> int:
+        return _pairs(self.device.cfg.link.hold_resync_poll_slots)
 
     # -- the slot loop -------------------------------------------------------
 
     def _even_slot(self) -> None:
+        self._wake = None
         if not self._running:
             return
         device = self.device
-        sim = device.sim
-        sim.schedule_abs(self._next_master_slot(), self._even_slot)
+        pair = self.pair_index()
+        self._last_pair = pair
+        # the next pair is evaluated whenever this one is not quiet: the
+        # radio is still busy, the master acts, or AFH assesses every pair
         if device.rf.rx_locked or device.rf.tx_busy:
+            self._wake_at(pair + 1)
             return
         if device.rf.rx_open:
             device.rf.rx_off()
-        pair = self.pair_index()
         if self.afh is not None:
             # assess before picking this pair's frequency, so a fresh map
             # applies from this very slot on (the slaves' selectors see it
             # through the shared per-address hop state)
             self.afh.maybe_assess(pair)
         self._expire_holds(pair)
-        action = self.policy.choose(self, pair)
-        if action is None:
-            return
-        self._transmit_action(action, pair)
+        action = self._policy.choose(self, pair)
+        if action is not None or self.afh is not None:
+            self._wake_at(pair + 1)
+        else:
+            self._wake_at(self._policy.next_pair(self, pair))
+        if action is not None:
+            self._transmit_action(action, pair)
 
     def _expire_holds(self, pair: int) -> None:
         for am_addr, schedule in list(self.hold_schedules.items()):
             if pair >= schedule.end_slot:
                 del self.hold_schedules[am_addr]
                 self._resync_needed.add(am_addr)
-                self._last_resync_poll.pop(am_addr, None)
 
     def _transmit_action(self, action: SlotAction, pair: int) -> None:
         device = self.device
@@ -290,12 +379,14 @@ class ConnectionMaster:
             n_attempt_slots=params.n_attempt_slots,
             d_sniff_slots=_pairs(params.d_sniff_slots) if params.d_sniff_slots else 0,
         )
+        self.wake()
 
     def exit_sniff(self, am_addr: int) -> None:
         """Return a sniffing slave to active mode (master's view)."""
         link = self._link(am_addr)
         link.mode = ConnectionMode.ACTIVE
         link.sniff = None
+        self.wake()
 
     def set_hold(self, am_addr: int, params: HoldParams) -> None:
         """Suspend a slave's link for ``params.hold_slots`` (master's view)."""
@@ -303,6 +394,7 @@ class ConnectionMaster:
         link.mode = ConnectionMode.HOLD
         link.hold = params
         self.hold_schedules[am_addr] = schedule_hold(self.pair_index(), params)
+        self.wake()
 
     def park(self, am_addr: int, params: ParkParams) -> None:
         """Park a slave, freeing its AM_ADDR (master's view)."""
@@ -314,6 +406,7 @@ class ConnectionMaster:
             self._beacon_interval_pairs = pairs
         else:
             self._beacon_interval_pairs = min(self._beacon_interval_pairs, pairs)
+        self.wake()
 
     def unpark(self, pm_addr: int) -> int:
         """Re-activate a parked slave; returns its new AM_ADDR."""
@@ -321,6 +414,7 @@ class ConnectionMaster:
         self.arq[link.am_addr] = LinkArq()
         if not self.piconet.parked:
             self._beacon_interval_pairs = None
+        self.wake()
         return link.am_addr
 
     def detach(self, am_addr: int) -> None:
@@ -329,6 +423,7 @@ class ConnectionMaster:
         self.arq.pop(am_addr, None)
         self.hold_schedules.pop(am_addr, None)
         self._resync_needed.discard(am_addr)
+        self.wake()
 
     def _link(self, am_addr: int):
         link = self.piconet.slaves.get(am_addr)
@@ -385,11 +480,6 @@ class ConnectionSlave:
             now_ns = self.device.sim.now
         return self.clock.ticks(now_ns) // 4
 
-    def soa_clock_state(self) -> tuple[int, int]:
-        """``(phase_ns, offset_ticks)`` of the learned piconet clock,
-        for the SoA world array."""
-        return (self.clock.phase_ns, self.clock.offset_ticks)
-
     # -- the listening loop --------------------------------------------------
 
     def _master_slot(self) -> None:
@@ -439,12 +529,7 @@ class ConnectionSlave:
 
     def _next_listen_pair(self, from_pair: int) -> int:
         if self.mode is ConnectionMode.SNIFF and self.sniff_params is not None:
-            pair = from_pair
-            while not in_attempt_window(pair, self.sniff_params):
-                params = self.sniff_params
-                delta = (pair - params.d_sniff_slots) % params.t_sniff_slots
-                pair += params.t_sniff_slots - delta
-            return pair
+            return next_attempt_slot(from_pair, self.sniff_params)
         if self.mode is ConnectionMode.PARK and self.park_params is not None:
             return next_beacon_slot(from_pair, ParkParams(
                 beacon_interval_slots=_pairs(self.park_params.beacon_interval_slots),

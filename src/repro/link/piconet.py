@@ -114,14 +114,6 @@ class Piconet:
         afh = self.hop_selector.afh_map
         return None if afh is None else afh.used_mask
 
-    def soa_channel_mask(self) -> np.ndarray:
-        """79-bool used-channel row for the SoA world array (all-True
-        when the piconet hops the full set)."""
-        mask = self.channel_map
-        if mask is None:
-            return np.ones(79, dtype=bool)
-        return mask.astype(bool, copy=False)
-
     def allocate_am_addr(self) -> int:
         """Lowest free AM_ADDR (1..7)."""
         for candidate in range(1, self.MAX_ACTIVE_SLAVES + 1):

@@ -1,11 +1,18 @@
 """Master-side slot scheduling policies.
 
-Every even (master TX) slot the master picks at most one action: serve a
-parked-slave beacon, eagerly poll a slave returning from hold, serve a
-sniffing slave at its anchor, send queued data, or keep-alive poll the
-active slave whose T_poll deadline is closest. The policy object makes the
-choice; the default round-robin policy reproduces the paper's behaviour and
-an exhaustive policy is provided for the scheduling ablation.
+At each master-slot pair it evaluates, the master picks at most one
+action: serve a parked-slave beacon, eagerly poll a slave returning from
+hold, serve a sniffing slave at its anchor, send queued data, or
+keep-alive poll the active slave whose T_poll deadline is closest. The
+policy object makes the choice; the default round-robin policy reproduces
+the paper's behaviour and an exhaustive policy is provided for the
+scheduling ablation.
+
+The master does not evaluate every pair.  After a pair on which
+:meth:`PollingPolicy.choose` returned ``None`` it sleeps until
+:meth:`PollingPolicy.next_pair`; any new data or mode change wakes it
+earlier.  ``next_pair`` may name a pair too early (that evaluation just
+returns ``None`` again) but never too late.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.link.piconet import SlaveLink
-from repro.link.sniff import in_attempt_window
+from repro.link.sniff import in_attempt_window, next_attempt_slot
 from repro.link.states import ConnectionMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +46,17 @@ class PollingPolicy:
 
     def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
         raise NotImplementedError
+
+    def next_pair(self, master: "ConnectionMaster", pair: int) -> Optional[int]:
+        """Earliest pair after ``pair`` at which :meth:`choose` might return
+        an action, assuming no new data arrives and no link changes mode
+        (the master wakes itself on those).  ``None`` means never.
+
+        Called only after ``choose(master, pair)`` returned ``None``.  The
+        default evaluates every pair, which is always safe; a policy whose
+        choice depends on anything besides the link state, the TX buffers
+        and the pair index must keep it."""
+        return pair + 1
 
 
 class RoundRobinPolicy(PollingPolicy):
@@ -92,6 +110,33 @@ class RoundRobinPolicy(PollingPolicy):
             return SlotAction(kind="poll", am_addr=most_overdue.am_addr)
         return None
 
+    def next_pair(self, master: "ConnectionMaster", pair: int) -> Optional[int]:
+        """The minimum over the beacon grid and, per slave, the first pair
+        it could be served: the resync-poll grid after a hold, else the
+        next pair when data is queued or its T_poll deadline, moved to its
+        next attempt window when sniffing, and to its hold's end when a
+        hold covers that pair."""
+        after = pair + 1
+        wake = master.next_beacon_pair(after)
+        t_poll = max(1, master.device.cfg.link.t_poll_slots // 2)
+        for link in master.piconet.slaves.values():
+            am_addr = link.am_addr
+            if master.needs_resync(am_addr):
+                due = master.next_resync_poll_pair(after)
+            else:
+                if master.device.tx_buffer_for(am_addr).empty:
+                    due = max(after, link.last_poll_slot + t_poll)
+                else:
+                    due = after
+                if link.mode is ConnectionMode.SNIFF and link.sniff is not None:
+                    due = next_attempt_slot(due, link.sniff)
+            schedule = master.hold_schedules.get(am_addr)
+            if schedule is not None and due >= schedule.start_slot:
+                due = schedule.end_slot  # the hold expires there
+            if wake is None or due < wake:
+                wake = due
+        return wake
+
 
 class ExhaustivePolicy(RoundRobinPolicy):
     """Ablation: poll every reachable slave each slot pair, regardless of
@@ -107,3 +152,6 @@ class ExhaustivePolicy(RoundRobinPolicy):
             return None
         target = links[slot_index % len(links)]
         return SlotAction(kind="poll", am_addr=target.am_addr)
+
+    # next_pair is inherited: with an active link this policy acts on every
+    # pair, so it only idles where the round-robin choice does

@@ -25,6 +25,14 @@ def in_attempt_window(slot_index: int, params: SniffParams) -> bool:
     return delta < params.n_attempt_slots
 
 
+def next_attempt_slot(slot_index: int, params: SniffParams) -> int:
+    """First slot index >= ``slot_index`` inside an N_attempt window."""
+    delta = (slot_index - params.d_sniff_slots) % params.t_sniff_slots
+    if delta < params.n_attempt_slots:
+        return slot_index
+    return slot_index + (params.t_sniff_slots - delta)
+
+
 def next_anchor_slot(slot_index: int, params: SniffParams) -> int:
     """First anchor slot index >= ``slot_index``."""
     delta = (slot_index - params.d_sniff_slots) % params.t_sniff_slots

@@ -13,10 +13,6 @@ piconet at once:
 * the window's hop selections for **all** masters are prefilled in one
   :func:`~repro.baseband.hop.connection_windows_many` array pass (slaves
   share the per-address memo, so their lookups hit the same rows);
-* the per-device world state (clocks, ARQ bits, buffers, tuning, AFH
-  masks) is mirrored into a numpy structured array (:data:`WORLD_DTYPE`)
-  whose rows are refreshed from thin ``soa_*`` views on the link objects —
-  the object model remains the reference spec;
 * the pending event queue is **absorbed** into a micro-heap of plain
   tuples and stepped by a single tight loop that inlines the connection
   handlers, calling back into the channel's shared resolvers
@@ -39,17 +35,29 @@ maps.  Anything rarer — inquiry/page bring-up, LMP traffic, sniff/hold/
 park, AFH controllers, frequency-following receivers, probe/trace
 subscribers — fails the eligibility gate or the event classification and
 the call silently falls back to the object kernel for that window.
+``SlotEngine.declined_by_reason`` counts every declined window under one
+of the ``DECLINE_*`` reason codes.
+
+**Master wake.**  The object kernel's connection master sleeps through
+pairs its policy cannot act on and keeps one pending wake event.  The
+micro loop evaluates the absorbed master every pair (an evaluation that
+picks no action has no side effect there).  The absorb accepts only the
+master's registered wake event, and the handback registers the
+re-materialised ``_even_slot`` event as the new handle, so a later wake
+trigger never starts a second chain.  The master's last-evaluated pair
+needs no update: it only matters at a pair boundary the master already
+evaluated, and the micro loop evaluates nothing at or after the handback
+instant.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter
 from functools import partial
 from operator import attrgetter
 from typing import Optional
-
-import numpy as np
 
 from repro import units
 from repro.baseband.codec import DecodeResult, encode_packet
@@ -77,30 +85,18 @@ def configured_engine() -> str:
     return os.environ.get(ENGINE_ENV_VAR, "object")
 
 
-# ----------------------------------------------------------------------
-# Per-device world state as a structured array
-# ----------------------------------------------------------------------
-
-#: One row per connection endpoint: the SoA mirror of the link objects'
-#: slot-relevant state.  Refreshed from the thin ``soa_*`` views at every
-#: absorb; the hop prefill reads its ``clk_start`` column.
-WORLD_DTYPE = np.dtype([
-    ("role", "i1"),              # 0 = master, 1 = slave
-    ("am_addr", "i1"),           # slave's AM_ADDR (0 for masters)
-    ("clk_phase_ns", "i8"),      # slot-grid clock phase
-    ("clk_offset_ticks", "i8"),  # slot-grid clock offset
-    ("clk_start", "i8"),         # even-parity CLK at the window start
-    ("tx_until_ns", "i8"),       # transmitter-busy horizon
-    ("rx_freq", "i2"),           # tuned RF channel (-1 when closed)
-    ("rx_open", "?"),
-    ("pending_tx", "?"),         # any queued outbound payload
-    ("arq_tx_seqn", "i1"),
-    ("arq_awaiting", "?"),
-    ("arq_rx_arqn", "i1"),
-    ("arq_last_seqn", "i1"),
-    ("last_poll_slot", "i8"),    # masters: min over links
-    ("afh_mask", "?", (79,)),    # piconet used-channel mask
-])
+#: Decline reason codes of :attr:`SlotEngine.declined_by_reason`.
+DECLINE_SUBSCRIBER = "probe subscriber"    # a probe/tracer watches a signal
+DECLINE_POLICY = "non-round-robin policy"
+DECLINE_AFH = "afh"                        # an AFH controller assesses
+DECLINE_PARK = "beacon/park"
+DECLINE_HOLD = "hold/resync"
+DECLINE_SNIFF = "sniff"
+DECLINE_LMP = "lmp queued"
+DECLINE_MOBILITY = "mobility"
+DECLINE_EVENT = "unclassifiable event"     # a queued event the loop lacks
+DECLINE_PROCEDURE = "procedure"            # inquiry/page/scan bring-up
+DECLINE_CARRIER_SENSE = "carrier sense off"
 
 
 # micro event kinds (dispatch-frequency ordered in the loop, not here)
@@ -118,10 +114,18 @@ K_END = 10
 K_EXPIRE = 11
 K_TX_DONE = 12
 
-_ROLE_MASTER = 0
-_ROLE_SLAVE = 1
-
 _attach_index = attrgetter("attach_index")
+
+
+def _mode_reason(mode: ConnectionMode) -> Optional[str]:
+    """Decline reason of a non-active connection mode (None if active)."""
+    if mode is ConnectionMode.ACTIVE:
+        return None
+    if mode is ConnectionMode.SNIFF:
+        return DECLINE_SNIFF
+    if mode is ConnectionMode.PARK:
+        return DECLINE_PARK
+    return DECLINE_HOLD
 
 
 class SlimPacket:
@@ -248,7 +252,8 @@ class SlotEngine:
         self.windows_absorbed = 0
         self.windows_declined = 0
         self.micro_events = 0
-        self._world: Optional[np.ndarray] = None
+        #: Declined windows by ``DECLINE_*`` reason code.
+        self.declined_by_reason: Counter = Counter()
         #: Pairwise gain matrix of the last absorbed spatial window (row
         #: order = masters + slaves); None on flat worlds.
         self.gain_snapshot = None
@@ -260,24 +265,20 @@ class SlotEngine:
         if until_ns <= sim.now:
             return False
         plan = self._try_absorb(until_ns)
-        if plan is None:
+        if isinstance(plan, str):
             self.windows_declined += 1
+            self.declined_by_reason[plan] += 1
             return False
         self.windows_absorbed += 1
         self._micro_loop(plan, until_ns)
         self._handback(plan, until_ns)
         return True
 
-    @property
-    def world(self) -> Optional[np.ndarray]:
-        """The most recent structured world-state array (see
-        :data:`WORLD_DTYPE`); ``None`` before the first absorbed window."""
-        return self._world
-
     # -- eligibility ----------------------------------------------------
 
     def _eligible_states(self):
-        """Gate the world: return (masters, slaves) or None.
+        """Gate the world: return (masters, slaves) or a ``DECLINE_*``
+        reason code.
 
         Only the steady connection state qualifies; every excluded feature
         either schedules events the micro loop does not model or reads
@@ -286,49 +287,60 @@ class SlotEngine:
         session = self.session
         config = session.config
         if not config.rf.carrier_sense:
-            return None
+            return DECLINE_CARRIER_SENSE
         channel = session.channel
-        if channel._following:
-            return None
         topology = channel._topology
         if topology is not None and topology.mobility is not None:
             # positions churn on the mobility cadence mid-window; the
             # object kernel re-resolves them per transmission, so mobile
             # worlds decline absorption rather than model the epochs here
-            return None
-        masters: list[_MasterState] = []
-        slaves: list[_SlaveState] = []
+            return DECLINE_MOBILITY
         for device in session.devices:
             rf = device.rf
             if rf.enable_tx._subscribers or rf.enable_rx._subscribers \
                     or device.sig_state._subscribers:
-                return None  # probes / tracers watch the skipped commits
+                return DECLINE_SUBSCRIBER  # watchers see skipped commits
+        masters: list[_MasterState] = []
+        slaves: list[_SlaveState] = []
+        for device in session.devices:
+            rf = device.rf
             h = device.active_handler
             if h is None:
                 if rf.rx_open or rf.locked_tx is not None:
-                    return None  # scanning procedure without a handler
+                    return DECLINE_PROCEDURE  # scanning without a handler
                 continue
             if type(h) is ConnectionMaster:
                 if type(h.policy) is not RoundRobinPolicy:
-                    return None
-                if h.afh is not None or h._beacon_interval_pairs is not None:
-                    return None
-                if h.hold_schedules or h._resync_needed or h.piconet._parked:
-                    return None
+                    return DECLINE_POLICY
+                if h.afh is not None:
+                    return DECLINE_AFH
+                if h._beacon_interval_pairs is not None or h.piconet._parked:
+                    return DECLINE_PARK
+                if h.hold_schedules or h._resync_needed:
+                    return DECLINE_HOLD
                 for link in h.piconet.slaves.values():
-                    if link.mode is not ConnectionMode.ACTIVE \
-                            or link.sniff is not None or link.hold is not None:
-                        return None
+                    reason = _mode_reason(link.mode)
+                    if reason is None and link.sniff is not None:
+                        reason = DECLINE_SNIFF
+                    if reason is None and link.hold is not None:
+                        reason = DECLINE_HOLD
+                    if reason is not None:
+                        return reason
                 masters.append(_MasterState(h))
             elif type(h) is ConnectionSlave:
-                if h.mode is not ConnectionMode.ACTIVE or h._resyncing:
-                    return None
+                if h._resyncing:
+                    return DECLINE_HOLD
+                reason = _mode_reason(h.mode)
+                if reason is not None:
+                    return reason
                 slaves.append(_SlaveState(h))
             else:
-                return None
+                return DECLINE_PROCEDURE
             for buffer in device._tx_buffers.values():
                 if buffer._lmp:
-                    return None  # LMP is control plane: object kernel only
+                    return DECLINE_LMP  # control plane: object kernel only
+        if channel._following:
+            return DECLINE_PROCEDURE  # a frequency-following receiver
         return masters, slaves
 
     # -- absorb ---------------------------------------------------------
@@ -338,11 +350,12 @@ class SlotEngine:
 
         Two-phase: nothing is mutated until every entry has classified.
         Unknown callbacks (procedures, timers, non-saturated traffic, …)
-        abort the absorb and leave the queue untouched.
+        abort the absorb and leave the queue untouched; the return value
+        is then the ``DECLINE_*`` reason code.
         """
         states = self._eligible_states()
-        if states is None:
-            return None
+        if isinstance(states, str):
+            return states
         masters, slaves = states
         session = self.session
         sim = session.sim
@@ -391,19 +404,21 @@ class SlotEngine:
             if func is not None:
                 owner = cb.__self__
                 if func is f_commit:
-                    if t != now or owner._subscribers:
-                        return None
+                    if owner._subscribers:
+                        return DECLINE_SUBSCRIBER
+                    if t != now:
+                        return DECLINE_EVENT
                     commits.append((seq, owner))
                     continue
                 if func is f_tx_done:
                     if id(owner) not in by_rf:
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_TX_DONE, owner, None))
                     continue
                 if func is f_refill:
                     if type(owner) is not SaturatedTraffic \
                             or not owner.ptype.is_data:
-                        return None
+                        return DECLINE_EVENT
                     ts = traffic_states.get(id(owner))
                     if ts is None:
                         ts = traffic_states[id(owner)] = _TrafficState(owner)
@@ -413,8 +428,10 @@ class SlotEngine:
                     continue
                 st = by_handler.get(id(owner))
                 if st is None:
-                    return None
+                    return DECLINE_EVENT
                 if func is f_master_even:
+                    if event is not owner._wake:
+                        return DECLINE_EVENT  # not the master's one wake
                     kind = K_MASTER_EVEN
                 elif func is f_master_rx:
                     kind = K_MASTER_RX
@@ -425,46 +442,46 @@ class SlotEngine:
                 elif func is f_slave_reply:
                     kind = K_SLAVE_REPLY
                 else:
-                    return None
+                    return DECLINE_EVENT
                 micro.append((t, delta, seq, kind, st, None))
                 continue
             if isinstance(cb, partial):
                 pf = getattr(cb.func, "__func__", None)
                 if getattr(cb.func, "__self__", None) is not channel:
-                    return None
+                    return DECLINE_EVENT
                 args = cb.args
                 if pf is f_scan:
                     if not tx_ok(args[0]):
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_SCAN, args[0], None))
                 elif pf is f_expire:
                     if not tx_ok(args[0]):
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_EXPIRE, args[0], None))
                 elif pf is f_sync:
                     if not tx_ok(args[0]) or id(args[1]) not in by_rf:
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_SYNC, args[0], args[1]))
                 elif pf is f_sync_batch:
                     if not tx_ok(args[0]):
-                        return None
+                        return DECLINE_EVENT
                     for listener in args[1]:
                         if id(listener) not in by_rf:
-                            return None
+                            return DECLINE_EVENT
                     micro.append((t, delta, seq, K_SYNC_BATCH,
                                   args[0], args[1]))
                 elif pf is f_header:
                     if not tx_ok(args[0]) or id(args[1]) not in by_rf:
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_HEADER, args[0], args[1]))
                 elif pf is f_end:
                     if not tx_ok(args[0]) or id(args[1]) not in by_rf:
-                        return None
+                        return DECLINE_EVENT
                     micro.append((t, delta, seq, K_END, args[0], args[1]))
                 else:
-                    return None
+                    return DECLINE_EVENT
                 continue
-            return None
+            return DECLINE_EVENT
 
         # classification succeeded — commit the absorb
         for _seq, sig in sorted(commits, key=lambda item: item[0]):
@@ -482,46 +499,8 @@ class SlotEngine:
             self.gain_snapshot = channel._topology.snapshot(
                 [st.rf.topo_key for st in masters + slaves])
 
-        self._refresh_world(masters, slaves, now)
         self._prefill_hops(masters, slaves, now, until_ns)
         return micro, by_rf, masters, slaves, list(traffic_states.values())
-
-    def _refresh_world(self, masters, slaves, now: int) -> None:
-        """Mirror the link objects into the structured world array."""
-        rows = len(masters) + len(slaves)
-        world = self._world
-        if world is None or len(world) != rows:
-            world = self._world = np.zeros(rows, dtype=WORLD_DTYPE)
-        for row, st in enumerate(masters + slaves):
-            rec = world[row]
-            is_master = isinstance(st, _MasterState)
-            rec["role"] = _ROLE_MASTER if is_master else _ROLE_SLAVE
-            rec["am_addr"] = 0 if is_master else st.am_addr
-            phase_ns, offset_ticks = st.h.soa_clock_state()
-            rec["clk_phase_ns"] = phase_ns
-            rec["clk_offset_ticks"] = offset_ticks
-            rec["clk_start"] = st.clock.clk(now) & ~1  # even-parity grid
-            rec["tx_until_ns"] = st.rf._tx_until_ns
-            rec["rx_freq"] = -1 if st.rf.rx_freq is None else st.rf.rx_freq
-            rec["rx_open"] = st.rf.rx_open
-            if is_master:
-                seqn, awaiting, arqn, last_seqn = \
-                    st.arq[st.links[0].am_addr].soa_row() if st.links \
-                    else (0, False, 0, -1)
-                rec["pending_tx"] = any(not buf.empty
-                                        for buf in st.buffers.values())
-                rec["last_poll_slot"] = min(
-                    (link.last_poll_slot for link in st.links), default=0)
-                rec["afh_mask"] = st.piconet.soa_channel_mask()
-            else:
-                seqn, awaiting, arqn, last_seqn = st.h.arq.soa_row()
-                rec["pending_tx"] = not st.buffer.empty
-                rec["last_poll_slot"] = 0
-                rec["afh_mask"] = True
-            rec["arq_tx_seqn"] = seqn
-            rec["arq_awaiting"] = awaiting
-            rec["arq_rx_arqn"] = arqn
-            rec["arq_last_seqn"] = last_seqn
 
     def _prefill_hops(self, masters, slaves, now: int, until_ns: int) -> None:
         """One batched hop pass covering every piconet's window.
@@ -531,10 +510,10 @@ class SlotEngine:
         handlers then resolve each slot with a dict hit.
         """
         window = int(until_ns - now) // units.SLOT_NS + 8
-        world = self._world
         if masters:
             selectors = [st.selector for st in masters]
-            starts = world["clk_start"][:len(masters)]
+            # even-parity CLK at the window start, on each master's grid
+            starts = [st.clock.clk(now) & ~1 for st in masters]
             connection_windows_many(selectors, starts, window)
         for st in slaves:
             # rebind (and fill any master-less slave's rows) via the same
@@ -988,9 +967,11 @@ class SlotEngine:
                 # ConnectionMaster._even_slot + RoundRobinPolicy.choose +
                 # _transmit_action (no beacons/holds/sniff/AFH by gate).
                 # Even-slot events live on the exact 4-tick grid (they are
-                # only ever scheduled via next_tick_time), so the next one
+                # only ever scheduled at pair boundaries), so the next one
                 # is simply one slot pair away and the tick arithmetic of
-                # BtClock.ticks/clk inlines to plain integer ops.
+                # BtClock.ticks/clk inlines to plain integer ops.  Every
+                # pair is evaluated here: the object kernel's master would
+                # sleep through the ones that pick no action.
                 st = a
                 h = st.h
                 if not h._running:
@@ -1253,7 +1234,6 @@ class SlotEngine:
     # -- handback -------------------------------------------------------
 
     _HANDBACK_CALLBACKS = {
-        K_MASTER_EVEN: lambda st: st.h._even_slot,
         K_MASTER_RX: lambda st: st.h._rx_slot,
         K_RX_CLOSE: lambda st: st.h._rx_close,
         K_SLAVE_LISTEN: lambda st: st.h._master_slot,
@@ -1280,6 +1260,11 @@ class SlotEngine:
         tx_done_present = {id(a) for _t, _d, _q, kind, a, _b in heap
                            if kind == K_TX_DONE}
         for t, delta, _seq, kind, a, b in sorted(heap):
+            if kind == K_MASTER_EVEN:
+                # the master's one wake: register the event as its handle
+                h = a.h
+                h._wake = queue.push(t, delta, h._even_slot)
+                continue
             maker = unary.get(kind)
             if maker is not None:
                 callback = maker(a)
