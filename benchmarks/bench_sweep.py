@@ -44,6 +44,7 @@ import json
 import os
 import pathlib
 import pickle
+import tempfile
 import time
 
 from repro.api import Session
@@ -53,7 +54,8 @@ from repro.sim.soa import ENGINE_ENV_VAR
 from repro.experiments.common import PAPER_BER_GRID, paper_config
 from repro.experiments.fig08_failure_probability import inquiry_trial, page_trial
 from repro.phy.channel import Channel
-from repro.stats.executor import ParallelExecutor, SequentialExecutor
+from repro.stats.executor import SequentialExecutor
+from repro.stats.resilient import ResilientExecutor
 from repro.stats.sweep import Sweep, run_flattened
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
@@ -102,19 +104,48 @@ def _sweep_specs(trials: int):
     ]
 
 
+class _TimedTrial:
+    """Picklable trial wrapper: appends each call's worker-side busy time
+    to ``path`` (one line per trial; small ``O_APPEND`` writes, so forked
+    workers never interleave), returning the outcome untouched."""
+
+    def __init__(self, fn, path: str):
+        self.fn = fn
+        self.path = path
+
+    def __call__(self, x, seed):
+        start = time.perf_counter()
+        outcome = self.fn(x, seed)
+        busy = time.perf_counter() - start
+        with open(self.path, "a", encoding="utf-8") as stream:
+            stream.write(f"{busy!r}\n")
+        return outcome
+
+
 def _run_sweep_workload(trials: int, jobs: int) -> tuple[float, dict, bytes]:
-    """Wall-clock, pool stats and result digest of one flattened run."""
+    """Wall-clock, pool stats and result digest of one flattened run.
+
+    Parallel runs report the pool-utilization fraction: the summed
+    worker-side trial time over ``workers x wall``."""
     if jobs == 1:
         executor = SequentialExecutor()
         start = time.perf_counter()
         results = run_flattened(_sweep_specs(trials), executor)
         wall = time.perf_counter() - start
         return wall, {}, pickle.dumps(results)
-    with ParallelExecutor(jobs=jobs, track_utilization=True) as executor:
-        start = time.perf_counter()
-        results = run_flattened(_sweep_specs(trials), executor)
-        wall = time.perf_counter() - start
-        stats = executor.last_map_stats or {}
+    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as scratch:
+        path = os.path.join(scratch, "busy.log")
+        specs = [(sweep, xs, _TimedTrial(fn, path))
+                 for sweep, xs, fn in _sweep_specs(trials)]
+        with ResilientExecutor(jobs=jobs) as executor:
+            start = time.perf_counter()
+            results = run_flattened(specs, executor)
+            wall = time.perf_counter() - start
+        with open(path, encoding="utf-8") as stream:
+            busy_s = sum(float(line) for line in stream)
+    workers = min(jobs, sum(len(xs) * sweep.trials_per_point
+                            for sweep, xs, _ in specs))
+    stats = {"utilization": busy_s / (workers * wall) if wall > 0 else 0.0}
     return wall, stats, pickle.dumps(results)
 
 
@@ -142,7 +173,7 @@ def _run_interference_workload(trials: int, jobs: int) -> tuple[float, bytes]:
         results = run_flattened(_interference_specs(trials),
                                 SequentialExecutor())
         return time.perf_counter() - start, pickle.dumps(results)
-    with ParallelExecutor(jobs=jobs) as executor:
+    with ResilientExecutor(jobs=jobs) as executor:
         start = time.perf_counter()
         results = run_flattened(_interference_specs(trials), executor)
         wall = time.perf_counter() - start
@@ -534,7 +565,6 @@ def _run_bench() -> dict:
             row["speedup_vs_1"] = round(wall_by_jobs[1] / wall, 2)
             if stats:
                 row["utilization"] = round(stats["utilization"], 3)
-                row["chunks"] = stats["chunks"]
         sweep_rows[str(jobs)] = row
     host: dict = {"cpu_count": os.cpu_count()}
     if (os.cpu_count() or 1) < 4:

@@ -161,23 +161,24 @@ def _campaign_executor(jobs: Optional[int],
     """The execution backend for one campaign run.
 
     ``REPRO_FABRIC`` selects the distributed sweep fabric
-    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise the
-    plain backends run when nothing fault-tolerant is in play, and the
-    :class:`~repro.stats.resilient.ResilientExecutor` takes over as soon
-    as a result journal is active, ``REPRO_CHAOS`` schedules fault
-    injection or ``REPRO_PROGRESS`` wants the journal-backed status line
-    — at any job count, since its sequential path carries the same
-    chaos/retry/checkpoint story as the pool.
+    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise
+    :func:`~repro.stats.executor.get_executor` picks the sequential
+    reference at one job and the
+    :class:`~repro.stats.resilient.ResilientExecutor` above — which also
+    takes over at one job as soon as a result journal is active,
+    ``REPRO_CHAOS`` schedules fault injection or ``REPRO_PROGRESS`` wants
+    the journal-backed status line, since its in-process path carries
+    the same chaos/retry/checkpoint story as the pool.
     """
     chaos = ChaosConfig.from_env()
     interval = progress_interval()
     on_progress = _progress_printer(interval) if interval is not None else None
     if os.environ.get(FABRIC_ENV_VAR, "").strip():
         return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
-    if store is not None or chaos is not None or on_progress is not None:
-        return ResilientExecutor(jobs=default_jobs(jobs), chaos=chaos,
-                                 on_progress=on_progress)
-    return get_executor(jobs)
+    if store is None and chaos is None and on_progress is None:
+        return get_executor(jobs)
+    return ResilientExecutor(jobs=default_jobs(jobs), chaos=chaos,
+                             on_progress=on_progress)
 
 
 def archive_timeline(session, experiment_id: str, label: str) -> Optional[str]:
@@ -272,9 +273,9 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     ``<dir>/<store_name>.jsonl`` as they finish, already-journalled ones
     are skipped on restart, and the journal header refuses a campaign
     spec that differs from the one that wrote it.  When a journal (or
-    ``REPRO_CHAOS`` fault injection) is active and the run is parallel,
-    the backend is the :class:`~repro.stats.resilient.ResilientExecutor`,
-    which additionally survives worker deaths and stragglers in place.
+    ``REPRO_CHAOS`` fault injection) is active, the backend is the
+    :class:`~repro.stats.resilient.ResilientExecutor`, which in a parallel
+    run additionally survives worker deaths and stragglers in place.
     Aggregates stay byte-identical to a clean sequential run throughout.
     """
     sweep = Sweep(master_seed=seed, trials_per_point=trials,

@@ -201,19 +201,6 @@ class Channel(Module):
         # entry is (79-float ACI-spread mW array, Position | None); the
         # per-listener floor folds in each source's path gain lazily
         self._static_sources: list[tuple[list[float], Position | None]] = []
-        # On the degenerate profile, while every transmission uses the
-        # default 0 dBm and no static interferer exists, the capture
-        # resolution of an overlap is *provably* "corrupt both" — so the
-        # hot path keeps the legacy-shaped 3-line loop and skips the
-        # accumulation bookkeeping.  The flag drops (stickily) at the
-        # first custom-power transmission or static interferer, because
-        # from then on live-overlap outcomes depend on actual powers.
-        # Sound across the switch: under the trivial regime any live
-        # transmission that ever overlapped is already corrupted, and an
-        # uncorrupted one has zero accumulated interference — exactly
-        # what its interference_mw field says.
-        self._capture_trivial = \
-            self._aci_span == 0 and self._capture_ratio == 1.0
         self.transmissions = 0
         self.collisions = 0
 
@@ -319,7 +306,6 @@ class Channel(Module):
         for channel in channels:  # validate before any state mutates
             if not 0 <= channel < 79:
                 raise ChannelError(f"RF channel out of range: {channel}")
-        self._capture_trivial = False
         power = _dbm_to_mw(power_dbm)
         if self._static_mw is None:
             self._static_mw = [0.0] * 79
@@ -342,11 +328,7 @@ class Channel(Module):
         spatial resolver reads the floor lazily per listener).
 
         Without this, a packet live at switch-on never sees the jammer:
-        its ``interference_mw`` was settled at resolve time, and the
-        sticky ``_capture_trivial`` hand-over only covers *transmission*
-        overlaps (an uncorrupted trivial-regime packet provably carries
-        zero accumulated interference, which stays true here — we add the
-        floor on top of it).
+        its ``interference_mw`` was settled at resolve time.
         """
         now = self.sim.now
         cap = self.capture
@@ -367,10 +349,9 @@ class Channel(Module):
 
     def clear_static_interferers(self) -> None:
         """Remove every parked static interferer — the jammer-off phase of
-        a recovery scenario.  The capture resolver stays on its
-        power-tracking path (:attr:`_capture_trivial` is sticky), so
-        outcomes remain well-defined for transmissions already in the
-        air."""
+        a recovery scenario.  Transmissions already in the air keep the
+        interference they accumulated, so their outcomes stay
+        well-defined."""
         self._static_mw = None
         self._static_sources = []
 
@@ -399,7 +380,7 @@ class Channel(Module):
         if cap is not None:
             cap.tx_start(now, tx)
 
-        self._resolve(tx, now, power_dbm)
+        self._resolve(tx, now)
 
         # Scan for listeners one delta cycle later, so that receivers being
         # retuned/opened by other events at this same instant (e.g. a slave
@@ -410,25 +391,22 @@ class Channel(Module):
         self.sim.schedule_abs(now + tx.duration_ns, partial(self._expire, tx))
         return tx
 
-    def _resolve(self, tx: Transmission, now: int, power_dbm: float) -> None:
+    def _resolve(self, tx: Transmission, now: int) -> None:
         """Admit ``tx`` into the live set through the applicable resolver —
         the single overlap-resolution entry point, shared by the scalar
         :meth:`transmit` path and the SoA slot engine's micro stepping."""
         if self._spatial:
             self._resolve_spatial(tx, now)
-        elif self.sir_capture and not (self._capture_trivial
-                                       and power_dbm == 0.0):
-            self._capture_trivial = False  # a custom-power tx is now live
+        elif self.sir_capture:
             self._resolve_capture(tx, now)
         else:
             self._resolve_trivial(tx, now)
 
     def _resolve_trivial(self, tx: Transmission, now: int) -> None:
         """Binary overlap resolution: any live overlap on the same
-        frequency corrupts both transmissions unconditionally.  Serves as
-        the legacy reference resolver (``sir_capture=False``) *and* as the
-        capture model's degenerate fast path (see ``_capture_trivial``) —
-        the equivalence the capture suite pins."""
+        frequency corrupts both transmissions unconditionally — the legacy
+        reference resolver (``sir_capture=False``) the capture suite pins
+        the degenerate capture profile against."""
         cap = self.capture
         live = self._active_by_freq.setdefault(tx.freq, {})
         for other in live.values():

@@ -656,7 +656,7 @@ class SlotEngine:
             channel.transmissions += 1
             if cap is not None:
                 cap.tx_start(t, tx)
-            resolve(tx, t, 0.0)
+            resolve(tx, t)
             end = t + duration
             rf._tx_until_ns = end
             seq_scan = seq + 1

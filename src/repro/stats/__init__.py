@@ -10,7 +10,6 @@ from repro.stats.estimators import (
 )
 from repro.stats.executor import (
     Executor,
-    ParallelExecutor,
     SequentialExecutor,
     default_jobs,
     get_executor,
@@ -49,7 +48,6 @@ __all__ = [
     "FabricWorker",
     "MeanEstimate",
     "MonteCarlo",
-    "ParallelExecutor",
     "ProportionEstimate",
     "ResilientExecutor",
     "ResultStore",

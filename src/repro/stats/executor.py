@@ -2,13 +2,18 @@
 
 Every trial in this codebase is a pure function of its derived seed, so a
 batch of trials can run on one core or many and must produce *the same*
-ordered outcome list either way.  This module supplies the two backends:
+ordered outcome list either way.  Three backends implement the
+:class:`Executor` interface:
 
-* :class:`SequentialExecutor` — the reference implementation, a plain
-  ordered loop on the calling process;
-* :class:`ParallelExecutor` — a ``concurrent.futures.ProcessPoolExecutor``
-  front-end that dispatches contiguous chunks of trials to worker
-  processes and reassembles results in submission order.
+* :class:`SequentialExecutor` (here) — the reference implementation, a
+  plain ordered loop on the calling process;
+* :class:`~repro.stats.resilient.ResilientExecutor` — the local
+  fault-tolerant backend: a process pool with journal resume, chaos
+  injection, bounded retry and worker-death recovery (its in-process
+  path serves jobs=1 campaigns that journal, inject chaos or report
+  progress);
+* :class:`~repro.stats.fabric.FabricExecutor` — the same keyed-run core
+  (:mod:`repro.stats.lease`) leasing chunks to TCP workers on any host.
 
 Determinism contract: for any picklable ``fn`` and item list, every
 executor returns ``[fn(item) for item in items]`` — same values, same
@@ -23,19 +28,11 @@ caller requested, and the CLI exposes ``--jobs``.
 
 from __future__ import annotations
 
-import math
 import os
-import pickle
-import time
-import warnings
 from typing import Any, Callable, Optional, Sequence
 
 #: Environment knob: fan trials out over this many worker processes.
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-#: Target number of chunks handed to each worker; >1 keeps the pool busy
-#: when per-trial wall-clock varies (high-BER trials run longer).
-_CHUNKS_PER_JOB = 4
 
 
 def default_jobs(requested: Optional[int] = None) -> int:
@@ -67,16 +64,12 @@ class Executor:
 
         ``progress(index, result)`` is invoked in index order; under a
         parallel backend it fires as ordered results become available, not
-        as workers finish.  Note the batching this implies: a chunked
-        backend like :class:`ParallelExecutor` consumes futures in
-        submission order, so ``progress`` fires in whole-chunk bursts only
-        after each chunk's ``future.result()`` returns — and not at all
-        for chunks that completed out of order until the gap before them
+        as workers finish — in whole-chunk bursts, and not at all for
+        chunks that completed out of order until the gap before them
         closes.  Callers needing liveness rather than ordered streaming
-        (monitoring, checkpoint telemetry) should use
-        :class:`~repro.stats.resilient.ResilientExecutor`'s journal-backed
-        ``on_progress`` hook, which reports completed/total counts in
-        completion order.
+        (monitoring, checkpoint telemetry) should use the keyed
+        executors' journal-backed ``on_progress`` hook, which reports
+        completed/total counts in completion order.
         """
         raise NotImplementedError
 
@@ -93,8 +86,6 @@ class Executor:
 class SequentialExecutor(Executor):
     """The reference backend: run every trial in the calling process."""
 
-    jobs = 1
-
     def map(self, fn, items, progress=None) -> list:
         results = []
         for index, item in enumerate(items):
@@ -105,150 +96,12 @@ class SequentialExecutor(Executor):
         return results
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: list) -> list:
-    """Worker-side body: evaluate one contiguous chunk of items."""
-    return [fn(item) for item in chunk]
-
-
-def _run_chunk_timed(fn: Callable[[Any], Any], chunk: list) -> tuple:
-    """Like :func:`_run_chunk`, but reports the worker-side busy interval.
-
-    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux — system-wide, so
-    intervals measured in forked workers are comparable with the parent's
-    clock and can be summed into a pool-utilization fraction.
-    """
-    start = time.perf_counter()
-    results = [fn(item) for item in chunk]
-    return results, start, time.perf_counter()
-
-
-class ParallelExecutor(Executor):
-    """Process-pool backend with chunked dispatch and ordered reassembly.
-
-    Chunks are contiguous slices of the item list, submitted in order and
-    consumed in submission order, so the result list (and any ``progress``
-    callbacks) are indistinguishable from the sequential backend.  Each
-    worker re-evaluates ``fn(item)`` from the item's own derived seed —
-    no state is shared between trials, which is what makes the fan-out
-    safe.
-
-    Unpicklable trial functions (e.g. closures in tests) degrade to the
-    sequential path with a warning rather than failing, preserving the
-    determinism contract.
-
-    The worker pool is created lazily on the first parallel ``map`` and
-    reused across calls — a sweep's per-point batches amortise the pool
-    start-up instead of re-forking workers at every point.  Call
-    :meth:`close` (or use the executor as a context manager) to release
-    the workers; :func:`repro.experiments.common.run_sweep` does this for
-    every experiment run.
-    """
-
-    def __init__(self, jobs: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 track_utilization: bool = False):
-        # an explicit job count is honoured verbatim — the REPRO_JOBS env
-        # override applies only at the get_executor()/default_jobs() entry
-        # point, so tests and direct callers can pin a backend
-        if jobs is None:
-            self.jobs = default_jobs()
-        elif jobs <= 0:
-            self.jobs = max(1, os.cpu_count() or 1)
-        else:
-            self.jobs = int(jobs)
-        self.chunk_size = chunk_size
-        #: when True, each parallel ``map`` records worker busy intervals
-        #: and publishes ``last_map_stats`` (used by bench_sweep to report
-        #: the pool-utilization fraction); off by default so the ordinary
-        #: dispatch path ships no timing payload.
-        self.track_utilization = track_utilization
-        #: ``{"wall_s", "busy_s", "utilization", "chunks", "jobs"}`` of the
-        #: most recent tracked parallel ``map``; None before one happens.
-        self.last_map_stats: Optional[dict] = None
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # prefer fork where available: workers inherit the parent's
-            # in-memory module state, so runtime-patched experiment
-            # constants (test fixtures, notebooks) behave identically in
-            # and out of process — spawn/forkserver re-import and would
-            # silently diverge from the sequential path
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                warnings.warn(
-                    "fork start method unavailable; spawn workers re-import "
-                    "modules, so runtime-patched experiment state will not "
-                    "reach them and parallel results may diverge from the "
-                    "sequential path", RuntimeWarning, stacklevel=3)
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                             mp_context=context)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def map(self, fn, items, progress=None) -> list:
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return SequentialExecutor().map(fn, items, progress)
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            warnings.warn(
-                f"{fn!r} is not picklable; ParallelExecutor falling back "
-                "to the sequential path", RuntimeWarning, stacklevel=2)
-            return SequentialExecutor().map(fn, items, progress)
-
-        jobs = min(self.jobs, len(items))
-        size = self.chunk_size or max(
-            1, math.ceil(len(items) / (jobs * _CHUNKS_PER_JOB)))
-        chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        pool = self._ensure_pool()
-        worker = _run_chunk_timed if self.track_utilization else _run_chunk
-        wall_start = time.perf_counter()
-        futures = [pool.submit(worker, fn, chunk) for chunk in chunks]
-        results: list = []
-        busy_s = 0.0
-        index = 0
-        for future in futures:  # submission order == item order
-            payload = future.result()
-            if self.track_utilization:
-                payload, chunk_start, chunk_end = payload
-                busy_s += chunk_end - chunk_start
-            for result in payload:
-                results.append(result)
-                if progress is not None:
-                    progress(index, result)
-                index += 1
-        if self.track_utilization:
-            wall_s = time.perf_counter() - wall_start
-            self.last_map_stats = {
-                "wall_s": wall_s,
-                "busy_s": busy_s,
-                "utilization": busy_s / (jobs * wall_s) if wall_s > 0 else 0.0,
-                "chunks": len(chunks),
-                "jobs": jobs,
-            }
-        return results
-
-
 def get_executor(jobs: Optional[int] = None) -> Executor:
-    """The backend for a resolved job count: sequential at 1, pool above."""
+    """The backend for a resolved job count: the sequential reference at
+    1, the :class:`~repro.stats.resilient.ResilientExecutor` pool above."""
+    from repro.stats.resilient import ResilientExecutor  # imports us
+
     resolved = default_jobs(jobs)
     if resolved <= 1:
         return SequentialExecutor()
-    return ParallelExecutor(jobs=resolved)
+    return ResilientExecutor(jobs=resolved)

@@ -31,8 +31,11 @@ records.  The flow:
   side thread, so a long trial never looks like a dead worker.
 * ``shutdown`` (coordinator → worker): campaign complete.
 
-Failure semantics (all journal-backed, mirroring
-:class:`~repro.stats.resilient.ResilientExecutor`):
+Journal resume, completion-order checkpoints, ordered progress, the
+in-process fallback and the retry rule are the keyed-run core of
+:mod:`repro.stats.lease`, shared with
+:class:`~repro.stats.resilient.ResilientExecutor`; this module adds only
+the TCP dispatch loop.  Failure semantics (all journal-backed):
 
 * **worker death / connection drop** — the worker's leases lose their
   owner and are re-leased to the next idle worker; locally spawned
@@ -71,16 +74,25 @@ import os
 import pickle
 import socket
 import struct
-import tempfile
 import threading
 import time
-import warnings
 from queue import Empty, Queue
 from typing import Any, Callable, Optional, Sequence
 
-from repro.stats.chaos import ChaosConfig, ChaosError, maybe_net_fault
-from repro.stats.executor import Executor, SequentialExecutor
-from repro.stats.lease import ChunkLease, chunk_size_for, make_leases, run_chunk
+from repro.stats.chaos import (
+    FAULT_KINDS,
+    NET_FAULT_KINDS,
+    ChaosConfig,
+    ChaosError,
+    maybe_net_fault,
+)
+from repro.stats.lease import (
+    ChunkLease,
+    KeyedExecutor,
+    KeyedRun,
+    retry_or_give_up,
+    run_chunk,
+)
 from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.store import ResultStore
 
@@ -631,18 +643,8 @@ class FabricCoordinator:
         if lease is None or lease.done:
             return
         lease.owners.discard(conn)
-        lease.attempts += 1
-        error = _unpack(message["error"])
-        if lease.attempts > self.max_retries:
-            if isinstance(error, TrialExecutionError):
-                warnings.warn(
-                    f"lease failed {lease.attempts} times; giving up — "
-                    f"replay the failing trial with seed "
-                    f"{error.seed:#018x}", RuntimeWarning, stacklevel=4)
-            raise error
-        self.counters["retries"] += 1
-        lease.retry_at = time.monotonic() + \
-            self.backoff_base_s * (2 ** (lease.attempts - 1))
+        retry_or_give_up(lease, _unpack(message["error"]), self.max_retries,
+                         self.backoff_base_s, self.counters)
 
     def _expire_silent_workers(self) -> None:
         now = time.monotonic()
@@ -651,9 +653,7 @@ class FabricCoordinator:
                 continue
             if now - conn.last_heartbeat > self.heartbeat_timeout_s:
                 self.counters["heartbeats_missed"] += 1
-                self.counters["workers_lost"] += 1
-                self._release_lease_of(conn)
-                self._close_conn(conn)
+                self._handle_dead(conn)
 
     def _assign_leases(self, leases: Sequence[ChunkLease]) -> None:
         now = time.monotonic()
@@ -727,7 +727,7 @@ def _local_worker_main(address, digest, chaos, name):
         os._exit(3)
 
 
-class FabricExecutor(Executor):
+class FabricExecutor(KeyedExecutor):
     """Campaign execution on the distributed fabric, behind the ordinary
     :class:`~repro.stats.executor.Executor` interface.
 
@@ -735,12 +735,13 @@ class FabricExecutor(Executor):
     ``bind`` (ephemeral port by default), optionally forks ``workers``
     local worker processes pointed at it, and serves the task queue until
     complete — external workers started with ``python -m repro
-    fabric-worker`` join the same campaign.  Results, journalling,
-    resume and progress semantics mirror
+    fabric-worker`` join the same campaign.  Journalling, resume, retry,
+    chaos and progress come from the keyed-run core shared with
     :class:`~repro.stats.resilient.ResilientExecutor`: journalled keys
     are never recomputed, fresh completions are recorded and fsynced in
-    completion order, and ``on_progress`` receives the journal-backed
-    dict extended with the fabric counters (``workers``,
+    completion order, an unpicklable trial function runs in-process under
+    the same chaos and retry budget, and ``on_progress`` receives the
+    journal-backed dict extended with the fabric counters (``workers``,
     ``leases_stolen``, ``heartbeats_missed``, ...).
 
     Locally spawned workers that die (chaos crash, OOM) are respawned up
@@ -749,6 +750,12 @@ class FabricExecutor(Executor):
     :class:`FabricError` propagates — rerun to resume, exactly like the
     pool-rebuild budget of the resilient backend.
     """
+
+    _PROGRESS_COUNTERS = ("retries", "redispatches", "workers",
+                          "leases_stolen", "heartbeats_missed", "respawns")
+    # every worker the campaign touches (respawned ones included) shares
+    # the durable fire-once ledger, network faults too
+    _LEDGER_KINDS = FAULT_KINDS + NET_FAULT_KINDS
 
     def __init__(self, workers: int = 2, *,
                  bind: tuple[str, int] = ("127.0.0.1", 0),
@@ -766,17 +773,10 @@ class FabricExecutor(Executor):
                  on_progress: Optional[Callable[[dict], None]] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = external only)")
-        if chaos is None:
-            chaos = ChaosConfig.from_env()
-        if (chaos is not None and chaos.state_dir is None
-                and (chaos.crash + chaos.hang + chaos.exc + chaos.drop
-                     + chaos.blackhole + chaos.dup + chaos.delay) > 0):
-            # durable fire-once ledger shared by every worker the campaign
-            # touches (respawned ones included), like ResilientExecutor
-            chaos = chaos.with_state_dir(
-                tempfile.mkdtemp(prefix="repro-chaos-"))
-        if chaos is not None:
-            chaos.begin_run()
+        super().__init__(journal=journal, chaos=chaos,
+                         max_retries=max_retries,
+                         backoff_base_s=backoff_base_s,
+                         on_progress=on_progress)
         self.workers = workers
         self.jobs = max(1, workers)
         self.bind = bind
@@ -785,20 +785,13 @@ class FabricExecutor(Executor):
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.steal_after_s = steal_after_s
         self.max_steals = max_steals
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self.max_worker_respawns = max_worker_respawns
-        self.journal = journal
-        self.chaos = chaos
         self.spec_digest = spec_digest
-        self.on_progress = on_progress
-        #: fabric counters of the most recent map (see new_counters()).
-        self.counters: dict = new_counters()
-        #: journal-backed progress of the most recent map; None before one.
-        self.last_progress: Optional[dict] = None
         #: the active (or most recent) coordinator address — what external
         #: ``fabric-worker`` processes connect to; None before a map runs.
         self.last_address: Optional[tuple[str, int]] = None
+
+    _new_counters = staticmethod(new_counters)
 
     # -- spec parsing -----------------------------------------------------
 
@@ -855,102 +848,16 @@ class FabricExecutor(Executor):
         unset/blank)."""
         return cls.from_spec(os.environ.get(FABRIC_ENV_VAR), **overrides)
 
-    # -- public entry points ----------------------------------------------
+    # -- the dispatch loop -------------------------------------------------
 
-    def map(self, fn, items, progress=None) -> list:
-        """Ordered map with synthetic journal keys ``(0, 0, i, seed)`` —
-        see :meth:`ResilientExecutor.map` for the convention."""
-        items = list(items)
-        keys = [(0, 0, index, item if isinstance(item, int) else index)
-                for index, item in enumerate(items)]
-        return self.map_keyed(fn, items, keys, progress=progress)
+    def _dispatches(self, n_pending: int) -> bool:
+        return True
 
-    def map_keyed(self, fn, items: Sequence, keys: Sequence,
-                  progress=None, journal: Optional[ResultStore] = None
-                  ) -> list:
-        """Ordered map over keyed tasks, served by the fabric.
-
-        Journalled keys are returned without recompute; the rest are
-        chunked into leases and dispatched to whatever workers register.
-        Byte-identical to the sequential backend for any worker count,
-        chunk size, steal schedule or network weather.
-        """
-        items = list(items)
-        keys = [tuple(key) for key in keys]
-        if len(items) != len(keys):
-            raise ValueError(f"{len(items)} items but {len(keys)} keys")
-        if journal is None:
-            journal = self.journal
-
-        total = len(items)
-        results: list = [None] * total
-        have: set = set()
-        cached = 0
-        if journal is not None:
-            for index, key in enumerate(keys):
-                hit = journal.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    have.add(index)
-                    cached += 1
-        pending = [index for index in range(total) if index not in have]
-
-        self.counters = new_counters()
-        counters = self.counters
-        next_emit = 0
-
-        def _advance_progress() -> None:
-            nonlocal next_emit
-            while next_emit < total and next_emit in have:
-                if progress is not None:
-                    progress(next_emit, results[next_emit])
-                next_emit += 1
-
-        def _note_progress() -> None:
-            self.last_progress = {
-                "completed": len(have),
-                "total": total,
-                "cached": cached,
-                "retries": counters["retries"],
-                "redispatches": counters["redispatches"],
-                "workers": counters["workers"],
-                "leases_stolen": counters["leases_stolen"],
-                "heartbeats_missed": counters["heartbeats_missed"],
-                "respawns": counters["respawns"],
-                "last_checkpoint":
-                    journal.last_checkpoint if journal is not None else None,
-            }
-            if self.on_progress is not None:
-                self.on_progress(dict(self.last_progress))
-
-        _advance_progress()
-        if cached:
-            _note_progress()
-        if not pending:
-            return results
-
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            warnings.warn(
-                f"{fn!r} is not picklable; FabricExecutor falling back to "
-                "the sequential path", RuntimeWarning, stacklevel=2)
-            fresh = SequentialExecutor().map(fn, [items[i] for i in pending])
-            for position, index in enumerate(pending):
-                results[index] = fresh[position]
-                have.add(index)
-                if journal is not None:
-                    journal.record(keys[index], results[index])
-            if journal is not None:
-                journal.flush()
-            _advance_progress()
-            _note_progress()
-            return results
-
-        size = chunk_size_for(len(pending), self.jobs, self.chunk_size)
-        leases = make_leases(items, keys, pending, size)
-        digest = (journal.spec_digest if journal is not None
+    def _dispatch(self, fn, run: KeyedRun) -> None:
+        leases = run.leases(self.jobs, self.chunk_size)
+        digest = (run.journal.spec_digest if run.journal is not None
                   else self.spec_digest) or UNBOUND_DIGEST
+        counters = run.counters
         coordinator = FabricCoordinator(
             self.bind, digest=digest,
             heartbeat_interval_s=self.heartbeat_interval_s,
@@ -962,18 +869,6 @@ class FabricExecutor(Executor):
         self.last_address = address
         procs: list = [None] * self.workers
         respawns_left = self.max_worker_respawns
-
-        def _complete(lease: ChunkLease, payload: list) -> None:
-            for key, index, result in zip(lease.keys, lease.indices,
-                                          payload):
-                results[index] = result
-                have.add(index)
-                if journal is not None:
-                    journal.record(key, result)
-            if journal is not None:
-                journal.flush()  # the checkpoint: this chunk is durable
-            _advance_progress()
-            _note_progress()
 
         def _tick() -> None:
             nonlocal respawns_left
@@ -997,16 +892,11 @@ class FabricExecutor(Executor):
         try:
             for slot in range(self.workers):
                 procs[slot] = self._spawn_worker(address, digest, slot)
-            coordinator.run(fn, leases, on_complete=_complete,
+            coordinator.run(fn, leases, on_complete=run.complete,
                             on_tick=_tick)
-        except BaseException:
-            if journal is not None:
-                journal.flush()
-            raise
         finally:
             coordinator.close()
             self._stop_workers(procs)
-        return results
 
     # -- local worker processes -------------------------------------------
 

@@ -226,6 +226,12 @@ class ResultStore:
         """The journalled outcome of ``key``, or None."""
         return self._results.get(tuple(key))
 
+    def lookup(self, keys: Sequence[Sequence[int]]) -> dict:
+        """``{index: outcome}`` for every journalled ``keys[index]``."""
+        found = {index: self._results.get(tuple(key))
+                 for index, key in enumerate(keys)}
+        return {index: hit for index, hit in found.items() if hit is not None}
+
     def __contains__(self, key) -> bool:
         return tuple(key) in self._results
 
@@ -286,31 +292,22 @@ def map_with_store(executor, fn: Callable, items: Sequence,
     are returned without recompute; the remaining gap is dispatched in one
     executor call, with every fresh result recorded (and checkpointed) as
     it completes — through the executor's own journal hook when it has one
-    (:class:`~repro.stats.resilient.ResilientExecutor.map_keyed`, which
-    records in *completion* order, so out-of-order chunks survive a kill),
-    falling back to the ordered ``progress`` callback otherwise.  Returns
-    the full ordered result list either way.
+    (``map_keyed`` of the keyed executors, which records in *completion*
+    order, so out-of-order chunks survive a kill), falling back to the
+    ordered ``progress`` callback otherwise.  Returns the full ordered
+    result list either way.
     """
-    cached = {}
-    for index, key in enumerate(keys):
-        hit = store.get(key)
-        if hit is not None:
-            cached[index] = hit
-    pending = [index for index in range(len(items)) if index not in cached]
-    if not pending:
-        return [cached[index] for index in range(len(items))]
-    pending_items = [items[index] for index in pending]
-    pending_keys = [keys[index] for index in pending]
     map_keyed = getattr(executor, "map_keyed", None)
     if map_keyed is not None:
-        fresh = map_keyed(fn, pending_items, pending_keys, journal=store)
-    else:
-        def _record(position: int, result) -> None:
-            store.record(pending_keys[position], result)
-            store.flush()
+        return map_keyed(fn, items, keys, journal=store)
+    results = store.lookup(keys)
+    pending = [index for index in range(len(items)) if index not in results]
 
-        fresh = executor.map(fn, pending_items, progress=_record)
-    results = list(cached.get(index) for index in range(len(items)))
-    for position, index in enumerate(pending):
-        results[index] = fresh[position]
-    return results
+    def _record(position: int, result) -> None:
+        store.record(keys[pending[position]], result)
+        store.flush()
+
+    fresh = executor.map(fn, [items[index] for index in pending],
+                         progress=_record)
+    results.update(zip(pending, fresh))
+    return [results[index] for index in range(len(items))]

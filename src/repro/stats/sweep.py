@@ -51,7 +51,7 @@ class _PointTrial:
     """Picklable binding of ``trial_fn`` to one x value.
 
     A module-level class (rather than a lambda) so that
-    :class:`~repro.stats.executor.ParallelExecutor` can ship it to worker
+    :class:`~repro.stats.resilient.ResilientExecutor` can ship it to worker
     processes whenever ``trial_fn`` itself is a module-level function.
     """
 

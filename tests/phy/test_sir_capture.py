@@ -101,17 +101,15 @@ class TestDegenerateEquivalence:
         min_size=2, max_size=8))
     def test_random_overlaps_match_legacy_resolver(self, plan):
         """Random same/nearby-channel overlap patterns: corrupted flags and
-        the collision counter agree between the legacy resolver, the
-        degenerate fast path (the default) and the full ``_resolve_capture``
-        accumulation forced onto the degenerate profile."""
+        the collision counter agree between the legacy resolver and the
+        full ``_resolve_capture`` accumulation on the degenerate profile
+        (the default)."""
 
-        def run(sir_capture: bool, force_capture: bool = False):
+        def run(sir_capture: bool):
             saved = Channel.sir_capture
             Channel.sir_capture = sir_capture
             try:
                 sim, channel, radios = build_world(n_radios=len(plan))
-                if force_capture:
-                    channel._capture_trivial = False
                 transmissions = []
                 for radio, (freq, start) in zip(radios, plan):
                     sim.schedule(start + 1, lambda r=radio, f=freq:
@@ -124,7 +122,6 @@ class TestDegenerateEquivalence:
 
         legacy = run(False)
         assert run(True) == legacy
-        assert run(True, force_capture=True) == legacy
 
 
 class TestCapture:
@@ -159,18 +156,15 @@ class TestCapture:
         assert any(r.result.complete for r in listener.receptions)
 
     def test_custom_power_engages_capture_on_default_profile(self):
-        """The degenerate fast path hands over to the full capture
-        resolution (stickily) once a non-default power appears: a 0 dBm
-        wanted signal then survives a -30 dBm overlapper even at the 0 dB
+        """On the degenerate profile a non-default power matters: a 0 dBm
+        wanted signal survives a -30 dBm overlapper even at the 0 dB
         threshold, instead of the binary both-corrupted outcome."""
         sim, channel, (a, b, _) = build_world()
-        assert channel._capture_trivial
         boxes = []
         sim.schedule(100, lambda: boxes.append(a.transmit(20, _dm1())))
         sim.schedule(200, lambda: boxes.append(
             b.transmit(20, _dm1(), power_dbm=-30.0)))
         sim.run()
-        assert not channel._capture_trivial
         assert not boxes[0].corrupted  # 30 dB SIR > 0 dB threshold
         assert boxes[1].corrupted
 

@@ -210,6 +210,27 @@ class TestDeterminism:
                                          TASKS, TASKS)
         assert results == reference
 
+    def test_unpicklable_fallback_keeps_chaos_and_retry(self, tmp_path):
+        """The in-process fallback runs under the executor's fault story:
+        every task's injected exception is retried, the same count the
+        resilient backend's in-process path reports."""
+        from repro.stats.resilient import ResilientExecutor
+
+        tasks = TASKS[:20]
+        retries = []
+        for name, backend in (("fabric", FabricExecutor),
+                              ("resilient", ResilientExecutor)):
+            chaos = ChaosConfig(seed=3, exc=1.0,
+                                state_dir=str(tmp_path / name))
+            executor = backend(2, chaos=chaos, backoff_base_s=0.001)
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                results = executor.map_keyed(lambda task: task[3] * task[3],
+                                             tasks, tasks)
+            assert results == REFERENCE[:20]
+            retries.append(executor.last_progress["retries"])
+            executor.close()
+        assert retries == [len(tasks), len(tasks)]
+
     def test_journal_cache_skips_recompute(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with ResultStore(path, SPEC_DIGEST) as journal:

@@ -178,8 +178,9 @@ class TestTransientFaultRetry:
             assert executor.last_progress["retries"] >= 1
         assert got == REFERENCE
 
-    def test_exhausted_retries_surface_replay_coordinates(self):
-        with ResilientExecutor(jobs=2, chunk_size=1, max_retries=1,
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhausted_retries_surface_replay_coordinates(self, jobs):
+        with ResilientExecutor(jobs=jobs, chunk_size=1, max_retries=1,
                                backoff_base_s=0.01) as executor:
             with pytest.warns(RuntimeWarning, match="replay the failing"):
                 with pytest.raises(TrialExecutionError) as excinfo:
