@@ -9,7 +9,7 @@
   DM packet payloads.
 
 Fast paths (bit-serial per-block originals retained in
-:mod:`repro.baseband.reference`): the encoder serves whole codewords from a
+``tests/properties/reference.py``): the encoder serves whole codewords from a
 1024-entry LUT (10 data bits -> 15-bit codeword row), and the decoder
 computes every codeword's syndrome in one GF(2) matrix product over the
 reshaped ``(-1, 15)`` stream, applying single-error corrections with fancy

@@ -9,7 +9,7 @@ constant 1) and g(D) is primitive, so every seed's output stream is the
 same 127-bit maximal-length sequence at a seed-dependent phase.  The
 64x127 table below is built once at import; any ``(clk, length)`` request
 is then a cyclic slice of its row instead of a per-bit Python loop.  The
-bit-serial generator is retained in :mod:`repro.baseband.reference` and
+bit-serial generator is retained in ``tests/properties/reference.py`` and
 the two are proven byte-identical by the fast-path equivalence suite.
 """
 

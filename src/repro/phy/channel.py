@@ -627,6 +627,9 @@ class Channel(Module):
         live = self._active_by_freq.get(tx.freq)
         if live is not None:
             live.pop(id(tx), None)
+        # the sender's TX ends here too: its enable_tx drop belongs at this
+        # same (end_ns, 0) instant, right after the expiry
+        tx.radio._tx_done()
 
     # ------------------------------------------------------------------
     # Receive path (staged)

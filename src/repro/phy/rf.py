@@ -157,10 +157,10 @@ class RfFrontEnd(Module):
                                    power_dbm=power_dbm)
         self._tx_until_ns = tx.end_ns
         self.enable_tx.write(True)
-        self.sim.schedule_abs(tx.end_ns, self._tx_done)
         return tx
 
     def _tx_done(self) -> None:
+        """Transmission end, called by the channel's expiry event."""
         if not self.tx_busy:
             self.enable_tx.write(False)
 

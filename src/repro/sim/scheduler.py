@@ -41,6 +41,17 @@ class EventQueue:
         self._live += 1
         return event
 
+    def push_reserved(self, key: tuple[int, int, int],
+                      callback: Callable[[], None]) -> EventHandle:
+        """Queue ``callback`` under a ``(time_ns, delta, sequence)`` key
+        whose sequence number was reserved earlier (a deferred signal
+        commit turning into its event)."""
+        time_ns, delta, sequence = key
+        event = ScheduledEvent(time_ns, delta, sequence, callback)
+        heapq.heappush(self._heap, (time_ns, delta, sequence, event))
+        self._live += 1
+        return event
+
     def pop(self) -> Optional[ScheduledEvent]:
         """Remove and return the earliest live event, or None when empty."""
         heap = self._heap

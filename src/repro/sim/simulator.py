@@ -27,6 +27,11 @@ class Simulator:
     def __init__(self) -> None:
         self.now: int = 0
         self.delta: int = 0
+        # sequence number of the event being (or last) dispatched: with
+        # now and delta it places the kernel against a deferred commit
+        self._seq: int = 0
+        # signals holding a deferred commit (each at most once)
+        self._lazy: set = set()
         self._queue = EventQueue()
         self._stopped = False
         self._events_dispatched = 0
@@ -72,7 +77,11 @@ class Simulator:
         ``max_events`` have fired, or :meth:`stop` is called.
 
         Events scheduled exactly at ``until_ns`` are *not* executed; time is
-        left at ``until_ns`` in that case (mirrors SystemC's sc_start).
+        left at ``until_ns`` in that case (mirrors SystemC's sc_start), and
+        ``delta`` is 0 whenever the bound moved time or left events queued.
+        Returning on a drained queue or on the bound settles the deferred
+        signal commits the queue would have dispatched (see
+        :mod:`repro.sim.signal`).
 
         Returns the number of events dispatched by this call.
         """
@@ -85,19 +94,54 @@ class Simulator:
                 break
             event = queue.pop_due(until_ns)
             if event is None:
+                held = self._settle_deferred(until_ns) if self._lazy else 0
                 if until_ns is not None:
-                    if len(queue):  # stopped by the bound, not exhaustion
+                    if held or len(queue) or until_ns > self.now:
                         self.delta = 0
                     self.now = max(self.now, until_ns)
                 break
             self.now = event.time_ns
             self.delta = event.delta
+            self._seq = event.sequence
             callback = event.callback
             event.callback = fired
             callback()
             dispatched += 1
         self._events_dispatched += dispatched
         return dispatched
+
+    def _settle_deferred(self, until_ns: Optional[int]) -> int:
+        """Land the deferred commits keyed before ``until_ns`` as their
+        commit events would have been dispatched, leaving now/delta where
+        the last of those events would; return how many stay deferred."""
+        last = (self.now, self.delta, self._seq)
+        held = set()
+        for signal in self._lazy:
+            due = signal._due
+            if type(due) is not tuple:
+                continue  # settled, or handed back as a queued event
+            if until_ns is not None and due[0] >= until_ns:
+                held.add(signal)
+                continue
+            if due > last:
+                last = due
+            signal._land(due[0])
+        self._lazy = held
+        self.now, self.delta, self._seq = last
+        return len(held)
+
+    def _defer(self, signal) -> tuple[int, int, int]:
+        """Reserve the key of ``signal``'s commit event without queueing
+        it: the sequence number is consumed, so later events order after
+        the deferred commit exactly as after a queued one."""
+        self._lazy.add(signal)
+        queue = self._queue
+        queue._sequence += 1
+        return (self.now, self.delta + 1, queue._sequence)
+
+    def _passed(self, key: tuple[int, int, int]) -> bool:
+        """Has dispatch moved past the event key ``key``?"""
+        return key < (self.now, self.delta, self._seq)
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the event being dispatched."""

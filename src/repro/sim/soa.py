@@ -1,11 +1,11 @@
 """Structure-of-arrays slot engine: whole-world slot stepping.
 
 The object kernel dispatches one Python event per device per slot — the
-scheduling loops of :mod:`repro.link.connection`, the staged delivery of
-:mod:`repro.phy.channel` and the signal delta cycles each cost a heap
-round-trip.  Bluetooth is slot-synchronous, so for the steady connection
-state all of that structure is *static*: the same handful of event shapes
-recurs every 1250 µs.  This module exploits that.
+scheduling loops of :mod:`repro.link.connection` and the staged delivery
+of :mod:`repro.phy.channel` each cost a heap round-trip (signal commits
+do not while nothing subscribes).  Bluetooth is slot-synchronous, so for
+the steady connection state all of that structure is *static*: the same
+handful of event shapes recurs every 1250 µs.  This module exploits that.
 
 :class:`SlotEngine` advances a whole window ``[now, until)`` for every
 piconet at once:
@@ -71,7 +71,6 @@ from repro.link.states import ConnectionMode
 from repro.link.traffic import SaturatedTraffic
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.phy.transmission import Transmission, TxMeta
-from repro.sim.signal import Signal
 
 #: Environment variable selecting the default engine of new Sessions.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
@@ -112,7 +111,6 @@ K_SYNC_BATCH = 8
 K_HEADER = 9
 K_END = 10
 K_EXPIRE = 11
-K_TX_DONE = 12
 
 _attach_index = attrgetter("attach_index")
 
@@ -299,7 +297,7 @@ class SlotEngine:
             rf = device.rf
             if rf.enable_tx._subscribers or rf.enable_rx._subscribers \
                     or device.sig_state._subscribers:
-                return DECLINE_SUBSCRIBER  # watchers see skipped commits
+                return DECLINE_SUBSCRIBER  # micro loop skips signal writes
         masters: list[_MasterState] = []
         slaves: list[_SlaveState] = []
         for device in session.devices:
@@ -378,8 +376,6 @@ class SlotEngine:
         f_slave_close = ConnectionSlave._rx_close
         f_slave_reply = ConnectionSlave._reply
         f_refill = SaturatedTraffic._refill
-        f_tx_done = RfFrontEnd._tx_done
-        f_commit = Signal._commit
         f_scan = type(channel)._scan_listeners
         f_expire = type(channel)._expire
         f_sync = type(channel)._sync_stage
@@ -388,7 +384,6 @@ class SlotEngine:
         f_end = type(channel)._end_stage
 
         micro: list[tuple] = []
-        commits: list[tuple[int, Signal]] = []
         now = sim.now
 
         def tx_ok(tx: Transmission) -> bool:
@@ -403,18 +398,6 @@ class SlotEngine:
             func = getattr(cb, "__func__", None)
             if func is not None:
                 owner = cb.__self__
-                if func is f_commit:
-                    if owner._subscribers:
-                        return DECLINE_SUBSCRIBER
-                    if t != now:
-                        return DECLINE_EVENT
-                    commits.append((seq, owner))
-                    continue
-                if func is f_tx_done:
-                    if id(owner) not in by_rf:
-                        return DECLINE_EVENT
-                    micro.append((t, delta, seq, K_TX_DONE, owner, None))
-                    continue
                 if func is f_refill:
                     if type(owner) is not SaturatedTraffic \
                             or not owner.ptype.is_data:
@@ -484,8 +467,6 @@ class SlotEngine:
             return DECLINE_EVENT
 
         # classification succeeded — commit the absorb
-        for _seq, sig in sorted(commits, key=lambda item: item[0]):
-            sig._commit()
         sim._queue._heap.clear()
         sim._queue._live = 0
         heapq.heapify(micro)
@@ -593,7 +574,6 @@ class SlotEngine:
         k_header = K_HEADER
         k_end = K_END
         k_expire = K_EXPIRE
-        k_tx_done = K_TX_DONE
         master_cls = _MasterState
         slave_cls = _SlaveState
         slim_packet = SlimPacket
@@ -625,7 +605,7 @@ class SlotEngine:
         def transmit(st, t: int, delta: int, freq: int, packet, uap: int,
                      meta: TxMeta) -> Transmission:
             # mirrors RfFrontEnd.transmit + Channel.transmit, minus the
-            # enable_tx signal write (a skipped no-op delta commit)
+            # enable_tx signal write (reconciled at handback)
             nonlocal seq
             rf = st.rf
             ptype = packet.ptype
@@ -659,15 +639,9 @@ class SlotEngine:
             resolve(tx, t)
             end = t + duration
             rf._tx_until_ns = end
-            seq_scan = seq + 1
-            # the third seq is reserved for the kernel's _tx_done slot;
-            # the micro loop itself has no work to do at tx end (the
-            # enable_tx signal is reconciled at handback), so no event
-            # is pushed — the handback synthesises the pending _tx_done
-            # for still-transmitting radios
-            seq += 3
-            push(heap, (t, delta + 1, seq_scan, k_scan, tx, None))
-            push(heap, (end, 0, seq_scan + 1, k_expire, tx, None))
+            seq += 2
+            push(heap, (t, delta + 1, seq - 1, k_scan, tx, None))
+            push(heap, (end, 0, seq, k_expire, tx, None))
             return tx
 
         dr_new = DecodeResult.__new__
@@ -1218,17 +1192,17 @@ class SlotEngine:
                 live = active_by_freq.get(tx.freq)
                 if live is not None:
                     live.pop(id(tx), None)
-
-            # K_TX_DONE: only toggles enable_tx in the object kernel; the
-            # handback's write_now reconciles the signal, so nothing to do.
+                # the expiry's TX-end toggle only writes enable_tx, which
+                # the handback's write_now reconciles
 
         if dispatched:
             sim.now = t
             sim.delta = delta
         sim._queue._sequence = seq
         self.micro_events += dispatched
-        # micro dispatch skips the Signal delta commits the object kernel
-        # fires, so events_dispatched is the one documented divergence
+        # events_dispatched counts micro events, which are not the object
+        # kernel's one for one: refills are lazy and the master is
+        # evaluated every pair (signal commits are eventless on both)
         sim._events_dispatched += dispatched
 
     # -- handback -------------------------------------------------------
@@ -1239,7 +1213,6 @@ class SlotEngine:
         K_SLAVE_LISTEN: lambda st: st.h._master_slot,
         K_SLAVE_REPLY: lambda st: st.h._reply,
         K_REFILL: lambda ts: ts.traffic._refill,
-        K_TX_DONE: lambda rf: rf._tx_done,
     }
 
     def _handback(self, plan, until_ns: int) -> None:
@@ -1253,12 +1226,10 @@ class SlotEngine:
         queue = sim._queue
         if queue._heap:
             raise RuntimeError("object events scheduled during micro window")
-        sim.now = until_ns
-        if heap:
+        if heap or until_ns > sim.now:
             sim.delta = 0  # mirrors the kernel's bound-stop rule
+        sim.now = until_ns
         unary = self._HANDBACK_CALLBACKS
-        tx_done_present = {id(a) for _t, _d, _q, kind, a, _b in heap
-                           if kind == K_TX_DONE}
         for t, delta, _seq, kind, a, b in sorted(heap):
             if kind == K_MASTER_EVEN:
                 # the master's one wake: register the event as its handle
@@ -1291,11 +1262,8 @@ class SlotEngine:
                            ts.traffic._refill)
         for st in list(masters) + list(slaves):
             rf = st.rf
-            # transmit() defers the kernel's tx-end event; synthesise it
-            # for radios still on air at the window boundary
-            if until_ns <= rf._tx_until_ns \
-                    and st.rid not in tx_done_present:
-                queue.push(rf._tx_until_ns, 0, rf._tx_done)
             rf.enable_rx.write_now(rf.rx_open)
-            # at until == end_ns the kernel's _tx_done has not fired yet
+            # a radio still on air keeps its K_EXPIRE, re-materialised
+            # above, whose channel expiry ends the TX (at until == end_ns
+            # it has not fired yet)
             rf.enable_tx.write_now(until_ns <= rf._tx_until_ns)

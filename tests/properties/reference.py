@@ -1,12 +1,13 @@
 """Retained bit-serial reference implementations of the baseband codec.
 
-The modules on the hot path (``whitening``, ``lfsr``, ``crc``, ``hec``,
-``fec``, ``bits``, ``access_code``) serve table-driven / numpy-vectorized
-fast paths.  This module keeps the original bit-serial implementations,
+The ``repro.baseband`` modules on the hot path (``whitening``, ``lfsr``,
+``crc``, ``hec``, ``fec``, ``bits``, ``access_code``) serve table-driven /
+numpy-vectorized fast paths.  This module keeps the original bit-serial implementations,
 verbatim, as the executable specification: the property suites in
 ``tests/properties/test_fastpath_equivalence.py`` assert exact
 (``np.array_equal``) agreement between each fast path and its reference
-across random inputs.  None of these functions is used on the hot path.
+across random inputs.  The module lives beside those suites, its only
+users; the package itself never imports it.
 
 The module deliberately imports nothing from the fast modules except
 shared constants, so a bug in a fast path cannot leak into its own

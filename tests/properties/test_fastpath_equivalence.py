@@ -1,7 +1,7 @@
 """Fast-path == reference-path equivalence (exact, no statistical tolerance).
 
 Every table-driven / vectorized baseband fast path must be byte-identical
-to the retained bit-serial implementation in ``repro.baseband.reference``
+to the retained bit-serial implementation in ``tests/properties/reference.py``
 (`np.array_equal`, integer equality for registers and counters).  The
 end-to-end encoder is additionally pinned against pre-refactor oracle
 digests captured on the bit-serial codebase, so a matched pair of bugs in
@@ -14,7 +14,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baseband import reference as ref
 from repro.baseband.access_code import BCH_DEGREE, BCH_POLY, sync_word
 from repro.baseband.bits import bits_from_int, int_from_bits
 from repro.baseband.codec import decode_packet, encode_packet
@@ -34,6 +33,7 @@ from repro.baseband.whitening import whitening_sequence, whitening_slice
 from repro.baseband.address import BdAddr, GIAC_LAP
 from repro.baseband.fhs import FhsPayload
 from repro.baseband.packets import Packet, PacketType
+from tests.properties import reference as ref
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
     lambda bits: np.array(bits, dtype=np.uint8))

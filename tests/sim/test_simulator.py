@@ -142,6 +142,21 @@ class TestDeltaCycles:
         sim.run()
         assert order == ["d1", "d2"]
 
+    def test_bound_after_early_drain_resets_delta(self, sim):
+        """A run that drains early and advances time to its bound leaves
+        no delta behind: the bound instant has had no delta cycles."""
+        seen = []
+        sim.schedule(10, lambda: sim.schedule_delta(
+            lambda: seen.append(sim.delta)))
+        sim.run(until_ns=100)
+        assert seen == [1]
+        assert (sim.now, sim.delta) == (100, 0)
+
+    def test_drain_without_bound_keeps_last_delta(self, sim):
+        sim.schedule(10, lambda: sim.schedule_delta(lambda: None))
+        sim.run()
+        assert (sim.now, sim.delta) == (10, 1)
+
     def test_at_end_callbacks(self, sim):
         order = []
         sim.at_end(lambda: order.append("end"))
