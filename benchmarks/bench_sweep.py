@@ -7,8 +7,9 @@ throughput of a 7-slave piconet in connection state.  The dense-deployment
 interference campaign rides along: its piconet-count sweep runs flattened
 at jobs ∈ {1, 4} (byte-identical, with the same no-regression guard), and
 one 20-piconet point is measured on the batched-decode + windowed-hop fast
-paths against the scalar reference paths (events/s before/after, outcomes
-asserted identical).  The same dense point is then measured on the SoA
+paths against bench-side scalar reference paths — each receiver's sync
+resolved on its own and one-slot hop fills (events/s before/after,
+outcomes asserted identical).  The same dense point is then measured on the SoA
 slot engine (``REPRO_ENGINE=soa``) against the object kernel — paired
 rounds, outcomes asserted identical, the speedup archived in the ``soa``
 section.  The AFH workload rides along too: an 8-piconet
@@ -29,7 +30,8 @@ only ``current`` is rewritten.
 Invariants asserted on every run:
 
 * sweep results are byte-identical across every measured job count;
-* flattened dispatch is byte-identical to the legacy per-point dispatch;
+* flattened dispatch is byte-identical to a bench-side per-point loop
+  (one Monte-Carlo batch per x point, barrier between points);
 * on hosts with >= 2 CPUs, ``jobs=4`` must not be slower than ``jobs=1``
   (the CI smoke guard — scheduling noise aside, the flattened queue keeps
   every worker busy end-to-end, so a slowdown means a dispatch regression).
@@ -54,9 +56,16 @@ from repro.sim.soa import ENGINE_ENV_VAR
 from repro.experiments.common import PAPER_BER_GRID, paper_config
 from repro.experiments.fig08_failure_probability import inquiry_trial, page_trial
 from repro.phy.channel import Channel
+from repro.stats.estimators import mean_with_ci, wilson_interval
 from repro.stats.executor import SequentialExecutor
+from repro.stats.montecarlo import MonteCarlo, derive_seed
 from repro.stats.resilient import ResilientExecutor
-from repro.stats.sweep import Sweep, run_flattened
+from repro.stats.sweep import (
+    SWEEP_POINT_STREAM,
+    Sweep,
+    SweepPoint,
+    run_flattened,
+)
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -149,13 +158,28 @@ def _run_sweep_workload(trials: int, jobs: int) -> tuple[float, dict, bytes]:
     return wall, stats, pickle.dumps(results)
 
 
+def _per_point_sweep(sweep: Sweep, xs, trial_fn) -> list[SweepPoint]:
+    """``sweep`` run point by point: one sequential Monte-Carlo batch per
+    x value at master seed ``derive_seed(master_seed, point,
+    stream=SWEEP_POINT_STREAM)``, aggregated as each point finishes."""
+    points = []
+    for point_index, (x, label) in enumerate(xs):
+        mc = MonteCarlo(master_seed=derive_seed(
+            sweep.master_seed, point_index, stream=SWEEP_POINT_STREAM),
+            trials=sweep.trials_per_point)
+        outcomes = mc.run(lambda seed: trial_fn(x, seed))
+        values = [o.value for o in outcomes if o.success]
+        points.append(SweepPoint(
+            x=x, label=label, mean=mean_with_ci(values),
+            success=wilson_interval(len(values), len(outcomes)),
+            extra=outcomes))
+    return points
+
+
 def _run_per_point_reference(trials: int) -> bytes:
-    """Digest of the legacy per-point dispatch (sequential)."""
-    results = [
-        sweep.run(xs, trial_fn, executor=SequentialExecutor(),
-                  dispatch="per_point")
-        for sweep, xs, trial_fn in _sweep_specs(trials)
-    ]
+    """Digest of the per-point reference loop (sequential)."""
+    results = [_per_point_sweep(sweep, xs, trial_fn)
+               for sweep, xs, trial_fn in _sweep_specs(trials)]
     return pickle.dumps(results)
 
 
@@ -207,25 +231,36 @@ def _measure_dense_point(capture: bool = False) -> tuple[dict, tuple]:
     return row, outcome
 
 
+def _per_listener_sync(sync_batch):
+    """``Channel._sync_batch`` resolving each receiver on its own, in
+    listener order: the draw sequence of one sync event per listener."""
+
+    def sync(channel, tx, receivers):
+        for listener in receivers:
+            sync_batch(channel, tx, [listener])
+
+    return sync
+
+
 def _run_dense_point_before_after(rounds: int = 3) -> dict:
     """The 20-piconet point on the fast paths vs the scalar reference
-    paths (per-listener sync events, per-call hop fills).
+    paths (per-listener sync resolution, one-slot hop fills).
 
     Fast and scalar are measured *adjacently within each round* and the
     reported speedup is the best paired ratio: on loaded single-CPU
     runners the host's speed drifts between blocks, and pairing cancels
     that drift out of the comparison.
     """
-    saved_batch = Channel.batch_sync
+    saved_sync = Channel._sync_batch
     saved_window = HopSelector.WINDOW_SLOTS
     best: dict = {}
     outcomes: set = set()
     try:
         for _ in range(rounds):
-            Channel.batch_sync = saved_batch
+            Channel._sync_batch = saved_sync
             HopSelector.WINDOW_SLOTS = saved_window
             fast, fast_outcome = _measure_dense_point()
-            Channel.batch_sync = False
+            Channel._sync_batch = _per_listener_sync(saved_sync)
             HopSelector.WINDOW_SLOTS = 1
             scalar, scalar_outcome = _measure_dense_point()
             outcomes.update((fast_outcome, scalar_outcome))
@@ -236,7 +271,7 @@ def _run_dense_point_before_after(rounds: int = 3) -> dict:
                 best = {"fast": fast, "scalar": scalar,
                         "speedup_fast_vs_scalar": ratio}
     finally:
-        Channel.batch_sync = saved_batch
+        Channel._sync_batch = saved_sync
         HopSelector.WINDOW_SLOTS = saved_window
     best["speedup_fast_vs_scalar"] = round(best["speedup_fast_vs_scalar"], 2)
     return {

@@ -35,6 +35,19 @@ import sys
 import time
 
 
+def _trial_count(text: str) -> int:
+    """``--trials`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"trials must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -46,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run an experiment")
     run_parser.add_argument("experiment",
                             help="experiment id (e.g. fig07) or 'all'")
-    run_parser.add_argument("--trials", type=int, default=None,
+    run_parser.add_argument("--trials", type=_trial_count, default=None,
                             help="Monte Carlo trials per point")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="master seed")

@@ -270,12 +270,11 @@ class HopSelector:
     #: simulation queries at slot boundaries, stride 2 CLK ticks) in one
     #: vectorized :meth:`connection_many` pass, so the master slot loop,
     #: slave listeners and the channel's frequency-following receivers stop
-    #: paying a scalar kernel evaluation per slot.  ``1`` restores the
-    #: per-call scalar fill — the reference path for the windowed-hop
-    #: golden-digest suite and the bench's before/after comparison.  The
-    #: outputs are identical either way: ``connection_many`` is
-    #: element-for-element equal to the scalar kernel (enforced by the
-    #: fast-path equivalence suite), only the fill pattern changes.
+    #: paying a scalar kernel evaluation per slot.  A constant, not a
+    #: switch: any window size (1 included) fills through the same
+    #: ``connection_many`` pass and yields the same frequencies, which the
+    #: fast-path equivalence suite checks element for element against a
+    #: scalar kernel oracle (AFH remap included).
     WINDOW_SLOTS = 64
 
     def __init__(self, address: int, registry: HopRegistry | None = None):
@@ -402,28 +401,9 @@ class HopSelector:
 
     def _connection_fill(self, clk: int) -> int:
         """Memo-miss path: fill a :attr:`WINDOW_SLOTS`-slot window of the
-        hop sequence starting at ``clk`` (vectorized), or just this clock
-        when the window is disabled."""
+        hop sequence starting at ``clk`` (vectorized)."""
         memo = self._connection_memo
         window = self.WINDOW_SLOTS
-        if window <= 1:
-            x = (clk >> 2) & 0x1F
-            y1 = (clk >> 1) & 1
-            a = self._a ^ ((clk >> 21) & 0x1F)
-            c = self._c ^ ((clk >> 16) & 0x1F)
-            d = self._d ^ ((clk >> 7) & 0x1FF)
-            f = (16 * ((clk >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS
-            index = self._select_index(x=x, y1=y1, y2=32 * y1, a=a,
-                                       b=self._b, c=c, d=d, f=f)
-            freq = CHANNEL_REGISTER[index]
-            afh = self.registry.afh_map(self.address)
-            if afh is not None and not afh.used_mask[freq]:
-                # spec remap: pre-register index mod N into the used set
-                freq = int(afh.register[index % afh.n_used])
-            if len(memo) >= self._MEMO_MAX:
-                memo.clear()
-            memo[clk] = freq
-            return freq
         clks = clk + 2 * np.arange(window, dtype=np.int64)
         freqs = self.connection_many(clks)
         if len(memo) + window > self._MEMO_MAX:

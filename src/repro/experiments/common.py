@@ -253,9 +253,7 @@ def page_up_pair(session, index: int = 0, label: str = "experiment"):
 def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
               trial_fn: Callable[[float, int], TrialOutcome],
               jobs: Optional[int] = None,
-              legacy_seeds: bool = False,
               executor: Optional[Executor] = None,
-              dispatch: str = "flat",
               resume: Optional[str] = None,
               store_name: Optional[str] = None) -> list[SweepPoint]:
     """Run the standard Monte-Carlo sweep of an experiment.
@@ -264,9 +262,8 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     sequential); the outcome lists are identical at any job count because
     every trial is a pure function of its derived seed.  Pass ``executor``
     instead to share one worker pool across several sweeps (the caller
-    then owns its lifetime).  ``dispatch`` selects the flattened work
-    queue (default) or the legacy per-point loop — results are identical,
-    only the barrier structure differs (see :mod:`repro.stats.sweep`).
+    then owns its lifetime).  The sweep runs as one flattened work queue
+    with no per-point barrier (see :mod:`repro.stats.sweep`).
 
     ``resume`` (or the ``REPRO_RESUME_DIR`` environment variable) makes
     the run **kill-and-resume safe**: completed trials are journalled to
@@ -278,17 +275,14 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     run additionally survives worker deaths and stragglers in place.
     Aggregates stay byte-identical to a clean sequential run throughout.
     """
-    sweep = Sweep(master_seed=seed, trials_per_point=trials,
-                  legacy_seeds=legacy_seeds)
+    sweep = Sweep(master_seed=seed, trials_per_point=trials)
     spec = campaign_spec([(sweep, xs, trial_fn)])
     store = campaign_store(store_name or _store_name(trial_fn), spec, resume)
     try:
         if executor is not None:
-            return sweep.run(xs, trial_fn, executor=executor,
-                             dispatch=dispatch, store=store)
+            return sweep.run(xs, trial_fn, executor=executor, store=store)
         with _campaign_executor(jobs, store) as owned:
-            return sweep.run(xs, trial_fn, executor=owned,
-                             dispatch=dispatch, store=store)
+            return sweep.run(xs, trial_fn, executor=owned, store=store)
     finally:
         if store is not None:
             store.close()
@@ -297,7 +291,6 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
 def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
                                  Callable[[float, int], TrialOutcome]]],
                jobs: Optional[int] = None,
-               legacy_seeds: bool = False,
                executor: Optional[Executor] = None,
                resume: Optional[str] = None,
                store_name: Optional[str] = None,
@@ -314,8 +307,7 @@ def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
     file (keys carry the sweep index, so the sweeps never collide) with
     the same kill-and-resume semantics as :func:`run_sweep`.
     """
-    sweeps = [(Sweep(master_seed=seed, trials_per_point=trials,
-                     legacy_seeds=legacy_seeds), xs, trial_fn)
+    sweeps = [(Sweep(master_seed=seed, trials_per_point=trials), xs, trial_fn)
               for seed, trials, xs, trial_fn in specs]
     name = store_name or "__".join(
         _store_name(trial_fn) for _, _, _, trial_fn in specs)

@@ -13,8 +13,8 @@ Responsibilities:
   the capture threshold.  The default :class:`~repro.config.SirConfig` is
   degenerate — infinite adjacent rejection, 0 dB threshold, equal powers —
   which reproduces the old binary per-RF-channel resolver byte-for-byte
-  (the retained legacy resolver behind :attr:`Channel.sir_capture` and the
-  PR-4 golden digests enforce this).  Unlike the paper's frequency-less
+  (the binary resolver oracle of the capture suite and the golden digests
+  enforce this).  Unlike the paper's frequency-less
   resolver we track interference per RF channel, which is strictly more
   accurate and is needed for the multi-piconet extension.
 * **Modem delay** — receivers perceive all stage times shifted by the
@@ -43,10 +43,19 @@ thousands of these per second):
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
-  grouped into **one batch event** whose decode outcomes go through the
-  batched :func:`~repro.baseband.codec.decode_packets` codec API
-  (bit-accurate mode) — see :attr:`Channel.batch_sync` for the
-  byte-identity argument and the scalar reference knob.
+  grouped into **one sync event** (:meth:`Channel._sync_batch`) whose
+  decode outcomes go through the batched
+  :func:`~repro.baseband.codec.decode_packets` codec API (bit-accurate
+  mode).  Byte-identity with one event per listener: the listeners of a
+  transmission would be scheduled back-to-back inside one atomic
+  ``_scan_listeners`` event, so nothing could interleave them; each
+  listener callback (``on_sync`` / ID-packet ``on_reception``) only
+  mutates its *own* device's receiver state, and only ``_full_decode``
+  draws from the channel's noise/stage RNG streams — so admitting all
+  listeners first, drawing their decode outcomes in listener order and
+  then delivering in the same order consumes identical RNG state and
+  observes identical guards.  (``tx.corrupted`` is re-read at each
+  delivery, preserving collision flags raised mid-batch.)
 """
 
 from __future__ import annotations
@@ -112,34 +121,6 @@ class Reception:
 
 class Channel(Module):
     """Single shared medium connecting every radio in the simulation."""
-
-    #: Batch the sync-stage decodes of a transmission's listeners into one
-    #: event (``False`` restores the per-listener scalar events — retained
-    #: as the reference path for the golden-digest equivalence suite and
-    #: the before/after rows of ``benchmarks/bench_sweep.py``).
-    #:
-    #: Byte-identity argument: the per-listener sync events of one
-    #: transmission are scheduled back-to-back inside one atomic
-    #: ``_scan_listeners`` event, so they hold consecutive sequence numbers
-    #: and fire consecutively — nothing can interleave.  Within that run,
-    #: every listener callback (``on_sync`` / ID-packet ``on_reception``)
-    #: only mutates its *own* device's receiver state, and only
-    #: ``_full_decode`` draws from the channel's noise/stage RNG streams —
-    #: so admitting all listeners first, drawing their decode outcomes in
-    #: listener order, and then delivering in the same order consumes
-    #: identical RNG state and observes identical guards as the
-    #: event-per-listener interleaving.  (``tx.corrupted`` is re-read at
-    #: each delivery, preserving collision flags raised mid-batch.)
-    batch_sync = True
-
-    #: Resolve overlaps through the carrier-offset SIR capture model
-    #: (``False`` restores the pre-change binary resolver: any co-channel
-    #: overlap corrupts both transmissions unconditionally, adjacent
-    #: channels and static interferers are invisible — retained as the
-    #: reference path for the capture-model equivalence suite).  With the
-    #: default degenerate :class:`~repro.config.SirConfig` the two paths
-    #: are byte-identical on equal-power workloads.
-    sir_capture = True
 
     def __init__(self, sim: Simulator, name: str, config: SimulationConfig,
                  rngs: RandomStreams):
@@ -291,17 +272,12 @@ class Channel(Module):
         configured rejection is finite) for its whole time on air — the
         dense-deployment model of e.g. a Wi-Fi carrier or a microwave
         oven, and the workload the ``ext_afh`` experiment recovers from.
-        Requires the SIR capture resolver (:attr:`sir_capture`); the
-        legacy binary resolver has no notion of non-Bluetooth energy.
 
         ``position`` places the source in the world's topology: spatial
         worlds then attenuate its energy by each listener's path gain.
         Positionless sources (or flat worlds) are heard at configured
         power everywhere.
         """
-        if not self.sir_capture:
-            raise ChannelError(
-                "static interferers require the SIR capture resolver")
         channels = list(channels)
         for channel in channels:  # validate before any state mutates
             if not 0 <= channel < 79:
@@ -397,30 +373,8 @@ class Channel(Module):
         :meth:`transmit` path and the SoA slot engine's micro stepping."""
         if self._spatial:
             self._resolve_spatial(tx, now)
-        elif self.sir_capture:
-            self._resolve_capture(tx, now)
         else:
-            self._resolve_trivial(tx, now)
-
-    def _resolve_trivial(self, tx: Transmission, now: int) -> None:
-        """Binary overlap resolution: any live overlap on the same
-        frequency corrupts both transmissions unconditionally — the legacy
-        reference resolver (``sir_capture=False``) the capture suite pins
-        the degenerate capture profile against."""
-        cap = self.capture
-        live = self._active_by_freq.setdefault(tx.freq, {})
-        for other in live.values():
-            if other.end_ns <= now:  # expiry event not yet fired
-                continue
-            if cap is not None:
-                if not other.corrupted:
-                    cap.capture_loss(now, other)
-                if not tx.corrupted:
-                    cap.capture_loss(now, tx)
-            other.corrupted = True
-            tx.corrupted = True
-            self.collisions += 1
-        live[id(tx)] = tx
+            self._resolve_capture(tx, now)
 
     def _resolve_capture(self, tx: Transmission, now: int) -> None:
         """Carrier-offset SIR capture resolution for a new transmission.
@@ -430,7 +384,7 @@ class Channel(Module):
         onto both sides of each overlap, and marks a transmission corrupted
         once its SIR no longer *exceeds* the capture threshold.  Corruption
         is sticky (interference only accumulates over a packet's lifetime,
-        mirroring the legacy rule that an overlap during any part of the
+        mirroring the binary rule that an overlap during any part of the
         packet destroys it) and is re-read at every staged delivery, so a
         mid-air capture loss still voids a reception whose sync stage
         already fired.
@@ -439,7 +393,8 @@ class Channel(Module):
         per examined pair in which either side is corrupted after the
         update — on the degenerate profile every co-channel pair qualifies
         and adjacent buckets are never visited, making counter, flags and
-        event schedule byte-identical to the legacy resolver.
+        event schedule byte-identical to the binary per-channel resolver
+        (the capture suite's tests-side oracle).
         """
         cap = self.capture
         interference = self._static_mw[tx.freq] if self._static_mw else 0.0
@@ -611,14 +566,9 @@ class Channel(Module):
             receivers.append(listener)
         if not receivers:
             return
-        if self.batch_sync and len(receivers) > 1:
-            # one event resolves the whole slot batch (see batch_sync)
-            self.sim.schedule_abs(
-                sync_time, partial(self._sync_batch, tx, receivers))
-        else:
-            for listener in receivers:
-                self.sim.schedule_abs(
-                    sync_time, partial(self._sync_stage, tx, listener))
+        # one event resolves every reception of tx (see module docstring)
+        self.sim.schedule_abs(
+            sync_time, partial(self._sync_batch, tx, receivers))
 
     def _expire(self, tx: Transmission) -> None:
         cap = self.capture
@@ -634,17 +584,6 @@ class Channel(Module):
     # ------------------------------------------------------------------
     # Receive path (staged)
     # ------------------------------------------------------------------
-
-    def _sync_admit(self, tx: Transmission, listener: RfFrontEnd) -> bool:
-        """The sync-time receiver guard (shared by scalar and batch paths)."""
-        if not listener.rx_open or not (listener.locked_tx is tx
-                                        or listener.tuned_to(tx.freq)):
-            if listener.locked_tx is tx:
-                listener.locked_tx = None
-            return False
-        if listener.locked_tx is not None and listener.locked_tx is not tx:
-            return False  # already locked onto a different packet
-        return True
 
     def _sync_deliver(self, tx: Transmission, listener: RfFrontEnd,
                       result: DecodeResult) -> None:
@@ -668,19 +607,22 @@ class Channel(Module):
             tx.start_ns + delay + HEADER_DECISION_NS,
             partial(self._header_stage, tx, listener))
 
-    def _sync_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
-        if not self._sync_admit(tx, listener):
-            return
-        result = self._full_decode(tx, listener)
-        self._sync_deliver(tx, listener, result)
-
     def _sync_batch(self, tx: Transmission,
                     receivers: list[RfFrontEnd]) -> None:
         """Resolve every reception of ``tx`` in one event: admit in listener
-        order, draw all decode outcomes (one batched ``decode_packets`` call
-        in bit-accurate mode), then deliver in the same order."""
-        admitted = [listener for listener in receivers
-                    if self._sync_admit(tx, listener)]
+        order through the sync-time receiver guard, draw all decode
+        outcomes (one batched ``decode_packets`` call in bit-accurate
+        mode), then deliver in the same order."""
+        admitted = []
+        for listener in receivers:
+            locked = listener.locked_tx
+            if not listener.rx_open or not (locked is tx
+                                            or listener.tuned_to(tx.freq)):
+                if locked is tx:
+                    listener.locked_tx = None
+            elif locked is None or locked is tx:
+                # (a listener locked onto a different packet is skipped)
+                admitted.append(listener)
         if not admitted:
             return
         results = self._full_decode_batch(tx, admitted)
@@ -802,9 +744,9 @@ class Channel(Module):
 
         Statistical mode draws the whole batch's sync/header/payload chains
         through :meth:`StageErrorModel.sample_stages_batch` (stream- and
-        outcome-identical to the scalar per-listener loop, which remains
-        the reference via ``batch_sync=False``).  Bit-accurate mode draws
-        each listener's noise pattern in listener order (identical
+        outcome-identical to looping :meth:`_full_decode` per listener,
+        which the stage-batch property suite asserts).  Bit-accurate mode
+        draws each listener's noise pattern in listener order (identical
         noise-stream consumption), then resolves all noisy frames through
         one :func:`decode_packets` call.  A single listener takes the
         scalar decode outright — same draws, none of the batch

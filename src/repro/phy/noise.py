@@ -59,7 +59,8 @@ class GilbertElliottNoise(NoiseModel):
     the reference loop: geometric sojourns are memoryless, so re-sampling
     the remaining run length at the next frame leaves the process
     distribution unchanged.  Draw-for-draw the RNG stream differs from the
-    reference, so the two implementations are compared statistically (BER
+    reference loop (kept as a tests-side oracle in
+    ``tests/phy/reference.py``), so the two are compared statistically (BER
     and burst-structure bounds) in ``tests/phy/test_gilbert_elliott.py``.
     """
 
@@ -151,23 +152,3 @@ class GilbertElliottNoise(NoiseModel):
         if total_bad == 0:
             return 0
         return int(self._rng.binomial(total_bad, self.bad_ber))
-
-    def error_positions_reference(self, n: int) -> np.ndarray:
-        """The original two-uniforms-per-bit chain step, kept as the
-        statistical reference for the vectorized sampler's test suite."""
-        if self.ber <= 0.0 or n == 0:
-            return np.zeros(0, dtype=np.int64)
-        positions = []
-        bad = self._bad
-        enter, leave = self._p_enter_bad, self._p_leave_bad
-        uniforms = self._rng.random(2 * n)
-        for i in range(n):
-            if bad:
-                if uniforms[2 * i] < self.bad_ber:
-                    positions.append(i)
-                if uniforms[2 * i + 1] < leave:
-                    bad = False
-            elif uniforms[2 * i + 1] < enter:
-                bad = True
-        self._bad = bad
-        return np.array(positions, dtype=np.int64)

@@ -16,9 +16,9 @@ piconet at once:
 * the pending event queue is **absorbed** into a micro-heap of plain
   tuples and stepped by a single tight loop that inlines the connection
   handlers, calling back into the channel's shared resolvers
-  (:meth:`~repro.phy.channel.Channel._resolve`, ``_full_decode`` /
-  ``_full_decode_batch``) so SIR capture, batched stage draws and batched
-  decode run through exactly one code path with the scalar kernel.
+  (:meth:`~repro.phy.channel.Channel._resolve`, ``_full_decode_batch``)
+  so SIR capture, batched stage draws and batched decode run through
+  exactly one code path with the scalar kernel.
 
 **Byte identity is the contract.**  Every inlined handler replicates its
 object-kernel counterpart statement for statement — same event ordering,
@@ -106,11 +106,10 @@ K_SLAVE_LISTEN = 3
 K_SLAVE_REPLY = 4
 K_REFILL = 5
 K_SCAN = 6
-K_SYNC = 7
-K_SYNC_BATCH = 8
-K_HEADER = 9
-K_END = 10
-K_EXPIRE = 11
+K_SYNC_BATCH = 7
+K_HEADER = 8
+K_END = 9
+K_EXPIRE = 10
 
 _attach_index = attrgetter("attach_index")
 
@@ -378,7 +377,6 @@ class SlotEngine:
         f_refill = SaturatedTraffic._refill
         f_scan = type(channel)._scan_listeners
         f_expire = type(channel)._expire
-        f_sync = type(channel)._sync_stage
         f_sync_batch = type(channel)._sync_batch
         f_header = type(channel)._header_stage
         f_end = type(channel)._end_stage
@@ -441,10 +439,6 @@ class SlotEngine:
                     if not tx_ok(args[0]):
                         return DECLINE_EVENT
                     micro.append((t, delta, seq, K_EXPIRE, args[0], None))
-                elif pf is f_sync:
-                    if not tx_ok(args[0]) or id(args[1]) not in by_rf:
-                        return DECLINE_EVENT
-                    micro.append((t, delta, seq, K_SYNC, args[0], args[1]))
                 elif pf is f_sync_batch:
                     if not tx_ok(args[0]):
                         return DECLINE_EVENT
@@ -523,7 +517,6 @@ class SlotEngine:
         cap = channel.capture
         bit_accurate = config.bit_accurate
         fast_decode = not bit_accurate and config.noise.ber == 0.0
-        batch_sync = channel.batch_sync
         modem_delay = config.rf.modem_delay_ns
         listen_ns = config.link.active_listen_ns
         slot_ns = units.SLOT_NS
@@ -557,8 +550,6 @@ class SlotEngine:
         slots_cache: dict = {}
         is_data_cache: dict = {}
         tx_new = Transmission.__new__
-        full_decode = channel._full_decode
-        sync_admit = channel._sync_admit
         full_decode_batch = channel._full_decode_batch
         # globals hoisted to locals: ~100k events each touch several of
         # these, and LOAD_FAST beats the module-dict lookup every time
@@ -569,7 +560,6 @@ class SlotEngine:
         k_slave_reply = K_SLAVE_REPLY
         k_refill = K_REFILL
         k_scan = K_SCAN
-        k_sync = K_SYNC
         k_sync_batch = K_SYNC_BATCH
         k_header = K_HEADER
         k_end = K_END
@@ -731,38 +721,26 @@ class SlotEngine:
                     receivers.append(listener)
                 if not receivers:
                     continue
-                sync_time = tx.start_ns + sync_off
-                if batch_sync and len(receivers) > 1:
-                    seq += 1
-                    push(heap, (sync_time, 0, seq, k_sync_batch,
-                                tx, receivers))
-                else:
-                    for listener in receivers:
-                        seq += 1
-                        push(heap, (sync_time, 0, seq, k_sync,
-                                    tx, listener))
-
-            elif kind == k_sync:
-                tx, listener = a, b
-                # inline Channel._sync_admit: rx_open reduces to a
-                # rx_freq-is-set test and tuned_to to an int compare
-                # because rx_freq_fn is never set under the gate
-                locked = listener.locked_tx
-                if listener.rx_freq is None or not (
-                        locked is tx or listener.rx_freq == tx.freq):
-                    if locked is tx:
-                        listener.locked_tx = None
-                    continue
-                if locked is not None and locked is not tx:
-                    continue
-                result = fast_result(tx, listener) if fast_decode \
-                    else full_decode(tx, listener)
-                sync_deliver(tx, listener, result, t)
+                seq += 1
+                push(heap, (tx.start_ns + sync_off, 0, seq, k_sync_batch,
+                            tx, receivers))
 
             elif kind == k_sync_batch:
+                # Channel._sync_batch
                 tx, receivers = a, b
-                admitted = [listener for listener in receivers
-                            if sync_admit(tx, listener)]
+                freq = tx.freq
+                admitted = []
+                for listener in receivers:
+                    # inline sync-time guard: rx_open reduces to a
+                    # rx_freq-is-set test and tuned_to to an int compare
+                    # because rx_freq_fn is never set under the gate
+                    locked = listener.locked_tx
+                    if listener.rx_freq is None or not (
+                            locked is tx or listener.rx_freq == freq):
+                        if locked is tx:
+                            listener.locked_tx = None
+                    elif locked is None or locked is tx:
+                        admitted.append(listener)
                 if not admitted:
                     continue
                 if fast_decode:
@@ -1243,8 +1221,6 @@ class SlotEngine:
                 callback = partial(channel._scan_listeners, a)
             elif kind == K_EXPIRE:
                 callback = partial(channel._expire, a)
-            elif kind == K_SYNC:
-                callback = partial(channel._sync_stage, a, b)
             elif kind == K_SYNC_BATCH:
                 callback = partial(channel._sync_batch, a, b)
             elif kind == K_HEADER:

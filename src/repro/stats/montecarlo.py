@@ -17,9 +17,6 @@ from repro.stats.executor import Executor, SequentialExecutor
 #: Environment knob: scale trial counts in benches without editing code.
 TRIALS_ENV_VAR = "REPRO_TRIALS"
 
-#: The pre-v1 seed formula's stride (``master_seed * 10_000 + index``).
-LEGACY_SEED_STRIDE = 10_000
-
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / phi, the splitmix64 increment
 
@@ -43,14 +40,14 @@ def _mix64(value: int) -> int:
 def derive_seed(master_seed: int, index: int, stream: int = 0) -> int:
     """Derive the seed for trial ``index`` of ``master_seed`` (64-bit).
 
-    The legacy formula ``master_seed * 10_000 + index`` aliases
-    *structurally*: (master 3, trial 10 000) equals (master 4, trial 0), so
-    any run beyond 10 000 trials — or two sweep points with nearby master
-    seeds — silently reuses seeds.  Here each coordinate is diffused
-    through the splitmix64 finalizer (a 64-bit bijection) before being
-    folded in, so distinct ``(master_seed, stream, index)`` triples have no
-    structural collisions and accidental ones occur with probability
-    ~2**-64 per pair.  ``stream`` namespaces independent consumers (e.g.
+    The pre-v1 formula — trial seed ``master_seed * 10_000 + index``
+    under the sweep-point seed ``master_seed + 7919 * point_index`` —
+    aliased structurally: (master 3, trial 10 000) equalled (master 4,
+    trial 0).  Here each coordinate is diffused through the splitmix64
+    finalizer (a 64-bit bijection) before being folded in, so distinct
+    ``(master_seed, stream, index)`` triples have no structural
+    collisions and accidental ones occur with probability ~2**-64 per
+    pair.  ``stream`` namespaces independent consumers (e.g.
     the per-point master seeds of a sweep) away from trial seeds.
     """
     state = _mix64((master_seed & MASK64) + _GOLDEN)
@@ -117,21 +114,14 @@ class MonteCarlo:
     Attributes:
         master_seed: base seed; trial i uses :func:`derive_seed`.
         trials: number of trials.
-        legacy_seeds: escape hatch reinstating the pre-v1 formula
-            ``master_seed * 10_000 + i`` so replay seeds quoted in older
-            docs/results stay resolvable.  Do not use for new runs — it
-            collides beyond 10 000 trials.
     """
 
     master_seed: int
     trials: int
-    legacy_seeds: bool = False
     outcomes: list[TrialOutcome] = field(default_factory=list)
 
     def seed_for(self, index: int) -> int:
         """The replay seed of trial ``index``."""
-        if self.legacy_seeds:
-            return self.master_seed * LEGACY_SEED_STRIDE + index
         return derive_seed(self.master_seed, index)
 
     def seeds(self) -> list[int]:

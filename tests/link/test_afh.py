@@ -19,6 +19,7 @@ from repro.baseband.hop import (
 from repro.config import AfhConfig, ConfigError
 from repro.link.afh import AfhController, ChannelClassifier
 from repro.link.piconet import Piconet
+from tests.properties.reference import connection_reference
 
 
 @pytest.fixture(autouse=True)
@@ -83,28 +84,22 @@ class TestHopSelectorRemap:
         clks = [2 * k for k in range(300)]
         vectorized = selector.connection_many(np.array(clks, dtype=np.int64))
         assert [selector.connection(clk) for clk in clks] == \
-            vectorized.tolist()
+            vectorized.tolist() == \
+            [connection_reference(selector, clk) for clk in clks]
 
     def test_windowed_fill_matches_scalar_fill_under_afh(self):
         """The AFH remap is an array transform on the windowed kernel: the
-        64-slot prefill and the WINDOW_SLOTS=1 scalar fill agree."""
+        64-slot prefill agrees with the scalar kernel oracle's per-clock
+        remap."""
         used = _mask(list(range(10, 50)) + [77])
         clks = [4096 + 2 * k for k in range(150)]
 
-        # separate registries: both fill paths start from empty memos
-        windowed_selector = HopSelector(self.ADDRESS, HopRegistry())
-        windowed_selector.set_afh_map(used)
-        windowed = [windowed_selector.connection(clk) for clk in clks]
-
-        saved = HopSelector.WINDOW_SLOTS
-        HopSelector.WINDOW_SLOTS = 1
-        try:
-            scalar_selector = HopSelector(self.ADDRESS, HopRegistry())
-            scalar_selector.set_afh_map(used)
-            scalar = [scalar_selector.connection(clk) for clk in clks]
-        finally:
-            HopSelector.WINDOW_SLOTS = saved
-        assert windowed == scalar
+        # a fresh registry: the fill starts from an empty memo
+        selector = HopSelector(self.ADDRESS, HopRegistry())
+        selector.set_afh_map(used)
+        windowed = [selector.connection(clk) for clk in clks]
+        assert windowed == [connection_reference(selector, clk)
+                            for clk in clks]
         assert all(isinstance(freq, int) for freq in windowed)
 
     def test_memo_invalidated_on_map_change(self):

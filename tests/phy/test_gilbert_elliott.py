@@ -2,7 +2,8 @@
 
 The vectorized ``error_positions`` samples geometric good/bad sojourns
 instead of stepping the two-state chain bit by bit, so its RNG stream is
-not draw-for-draw comparable with the reference loop.  Equivalence is
+not draw-for-draw comparable with the reference loop
+(``tests/phy/reference.py::error_positions_reference``).  Equivalence is
 therefore statistical: the mean BER and the burst structure (run-length
 mix) of both samplers must agree within confidence bounds.  A seeded
 golden test pins the vectorized draw itself so the sampling algorithm
@@ -13,21 +14,22 @@ import numpy as np
 import pytest
 
 from repro.phy.noise import GilbertElliottNoise
+from tests.phy.reference import error_positions_reference
 
 #: Frames drawn per statistical comparison.
 FRAMES = 400
 FRAME_BITS = 2000
 
 
-def _burst_stats(sampler_name: str, noise: GilbertElliottNoise):
-    """Total errors, adjacent-gap counts and per-frame error counts."""
-    sampler = getattr(noise, sampler_name)
+def _burst_stats(sampler, noise: GilbertElliottNoise):
+    """Total errors, adjacent-gap counts and per-frame error counts of
+    ``sampler(noise, n)`` over :data:`FRAMES` frames."""
     total = 0
     small_gaps = 0
     gaps = 0
     per_frame = []
     for _ in range(FRAMES):
-        positions = np.sort(sampler(FRAME_BITS))
+        positions = np.sort(sampler(noise, FRAME_BITS))
         per_frame.append(len(positions))
         total += len(positions)
         if len(positions) > 1:
@@ -44,9 +46,10 @@ class TestStatisticalEquivalence:
         vec = GilbertElliottNoise(ber, burst_len, np.random.default_rng(101))
         ref = GilbertElliottNoise(ber, burst_len, np.random.default_rng(202))
         n_bits = FRAMES * FRAME_BITS
-        total_vec, _, _, frames_vec = _burst_stats("error_positions", vec)
+        total_vec, _, _, frames_vec = _burst_stats(
+            GilbertElliottNoise.error_positions, vec)
         total_ref, _, _, frames_ref = _burst_stats(
-            "error_positions_reference", ref)
+            error_positions_reference, ref)
         # both must sit within a generous CI of the configured BER; burst
         # correlation inflates the variance well beyond Bernoulli, so the
         # bound uses the empirical per-frame spread of each sampler
@@ -63,9 +66,10 @@ class TestStatisticalEquivalence:
     def test_burst_length_distribution_matches_reference(self):
         vec = GilbertElliottNoise(0.02, 16.0, np.random.default_rng(303))
         ref = GilbertElliottNoise(0.02, 16.0, np.random.default_rng(404))
-        _, small_vec, gaps_vec, _ = _burst_stats("error_positions", vec)
+        _, small_vec, gaps_vec, _ = _burst_stats(
+            GilbertElliottNoise.error_positions, vec)
         _, small_ref, gaps_ref, _ = _burst_stats(
-            "error_positions_reference", ref)
+            error_positions_reference, ref)
         frac_vec = small_vec / gaps_vec
         frac_ref = small_ref / gaps_ref
         # the clustered-gap fraction is the burst fingerprint: both

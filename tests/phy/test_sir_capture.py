@@ -4,12 +4,14 @@ pre-change binary resolver, capture/ACI behaviour, static interferers.
 The binding contract is the degenerate profile: with the default
 ``SirConfig`` (infinite adjacent-channel rejection, 0 dB capture
 threshold) and equal transmit powers, the capture resolver must be
-byte-identical to the retained legacy resolver (``Channel.sir_capture =
-False``) — flags, collision counter and event schedule alike.  The PR-4
-golden digests in ``tests/phy/test_batch_window_golden.py`` already pin
-the capture resolver (it is the default) against the pre-change tree;
-here the equivalence is additionally exercised head-to-head, both on a
-full campaign scenario and property-style on random overlap patterns.
+byte-identical to the binary resolver it replaced — flags, collision
+counter and event schedule alike.  The binary resolver is kept as a
+tests-side oracle (``tests/phy/reference.py::resolve_binary``) that these
+tests patch onto ``Channel._resolve``.  The golden digests in
+``tests/phy/test_batch_window_golden.py`` already pin the capture
+resolver against the pre-change tree; here the equivalence is
+additionally exercised head-to-head, both on a full campaign scenario
+and property-style on random overlap patterns.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.sim.module import Module
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
+from tests.phy.reference import resolve_binary
 
 
 def build_world(n_radios: int = 3, ber: float = 0.0, sir: SirConfig = None,
@@ -70,28 +73,25 @@ def _dm1(payload=b"x" * 17):
 class TestDegenerateEquivalence:
     """ACI rejection → ∞ + 0 dB threshold ≡ the pre-change resolver."""
 
-    def _campaign_outcome(self, sir_capture: bool):
-        saved = Channel.sir_capture
-        Channel.sir_capture = sir_capture
-        try:
-            session, pairs = build_campaign_session(2, seed=53)
-            session.run_slots(400)
-            return (
-                session.channel.collisions,
-                session.channel.transmissions,
-                tuple(slave.rx_buffer.total_bytes for _, slave in pairs),
-                tuple(master.connection_master.stats_tx_packets
-                      for master, _ in pairs),
-                tuple(slave.connection_slave.stats_rx_packets
-                      for _, slave in pairs),
-            )
-        finally:
-            Channel.sir_capture = saved
+    @staticmethod
+    def _campaign_outcome():
+        session, pairs = build_campaign_session(2, seed=53)
+        session.run_slots(400)
+        return (
+            session.channel.collisions,
+            session.channel.transmissions,
+            tuple(slave.rx_buffer.total_bytes for _, slave in pairs),
+            tuple(master.connection_master.stats_tx_packets
+                  for master, _ in pairs),
+            tuple(slave.connection_slave.stats_rx_packets
+                  for _, slave in pairs),
+        )
 
-    def test_campaign_outcomes_match_legacy_resolver(self):
-        capture = self._campaign_outcome(sir_capture=True)
-        legacy = self._campaign_outcome(sir_capture=False)
-        assert capture == legacy
+    def test_campaign_outcomes_match_binary_resolver(self, monkeypatch):
+        capture = self._campaign_outcome()
+        monkeypatch.setattr(Channel, "_resolve", resolve_binary)
+        binary = self._campaign_outcome()
+        assert capture == binary
         assert capture[0] > 0  # the scenario does collide
 
     @settings(max_examples=40, deadline=None)
@@ -99,29 +99,26 @@ class TestDegenerateEquivalence:
         st.tuples(st.integers(min_value=0, max_value=3),       # RF channel
                   st.integers(min_value=0, max_value=500_000)),  # start ns
         min_size=2, max_size=8))
-    def test_random_overlaps_match_legacy_resolver(self, plan):
+    def test_random_overlaps_match_binary_resolver(self, plan):
         """Random same/nearby-channel overlap patterns: corrupted flags and
-        the collision counter agree between the legacy resolver and the
-        full ``_resolve_capture`` accumulation on the degenerate profile
-        (the default)."""
+        the collision counter agree between the binary resolver oracle and
+        the full ``_resolve_capture`` accumulation on the degenerate
+        profile (the default)."""
 
-        def run(sir_capture: bool):
-            saved = Channel.sir_capture
-            Channel.sir_capture = sir_capture
-            try:
-                sim, channel, radios = build_world(n_radios=len(plan))
-                transmissions = []
-                for radio, (freq, start) in zip(radios, plan):
-                    sim.schedule(start + 1, lambda r=radio, f=freq:
-                                 transmissions.append(r.transmit(f, _dm1())))
-                sim.run()
-                return channel.collisions, [tx.corrupted
-                                            for tx in transmissions]
-            finally:
-                Channel.sir_capture = saved
+        def run(resolve=None):
+            sim, channel, radios = build_world(n_radios=len(plan))
+            if resolve is not None:
+                # instance attribute: the oracle resolves this world only
+                channel._resolve = resolve.__get__(channel)
+            transmissions = []
+            for radio, (freq, start) in zip(radios, plan):
+                sim.schedule(start + 1, lambda r=radio, f=freq:
+                             transmissions.append(r.transmit(f, _dm1())))
+            sim.run()
+            return channel.collisions, [tx.corrupted
+                                        for tx in transmissions]
 
-        legacy = run(False)
-        assert run(True) == legacy
+        assert run() == run(resolve_binary)
 
 
 class TestCapture:
@@ -350,16 +347,6 @@ class TestStaticInterferer:
         # on the antenna: capture lost at the sync stage, nothing decodes
         assert not run(0.1)
         assert run(50.0)  # 50 m out: ~34 dB below the wanted signal
-
-    def test_requires_capture_resolver(self):
-        saved = Channel.sir_capture
-        Channel.sir_capture = False
-        try:
-            sim, channel, _ = build_world()
-            with pytest.raises(ChannelError):
-                channel.add_static_interferer([5])
-        finally:
-            Channel.sir_capture = saved
 
     def test_channel_range_validated(self):
         sim, channel, _ = build_world()

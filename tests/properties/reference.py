@@ -1,9 +1,11 @@
-"""Retained bit-serial reference implementations of the baseband codec.
+"""Retained bit-serial reference implementations of the baseband codec
+and the scalar connection-state hop kernel.
 
 The ``repro.baseband`` modules on the hot path (``whitening``, ``lfsr``,
-``crc``, ``hec``, ``fec``, ``bits``, ``access_code``) serve table-driven /
-numpy-vectorized fast paths.  This module keeps the original bit-serial implementations,
-verbatim, as the executable specification: the property suites in
+``crc``, ``hec``, ``fec``, ``bits``, ``access_code``, ``hop``) serve
+table-driven / numpy-vectorized fast paths.  This module keeps the
+original bit-serial and per-clock implementations, verbatim, as the
+executable specification: the property suites in
 ``tests/properties/test_fastpath_equivalence.py`` assert exact
 (``np.array_equal``) agreement between each fast path and its reference
 across random inputs.  The module lives beside those suites, its only
@@ -11,7 +13,9 @@ users; the package itself never imports it.
 
 The module deliberately imports nothing from the fast modules except
 shared constants, so a bug in a fast path cannot leak into its own
-oracle.
+oracle.  The hop oracle takes the selector under test and reads only
+its scalar selection box and address fields, never the vectorized
+kernel.
 """
 
 from __future__ import annotations
@@ -211,3 +215,35 @@ def sync_word_reference(lap: int) -> np.ndarray:
     parity = remainder_bits_reference(scrambled_info, BCH_POLY, BCH_DEGREE)
     codeword = np.concatenate([scrambled_info, parity])
     return (codeword ^ _PN_BITS).astype(np.uint8)
+
+
+#: Basic channel register (even channels ascending, then odd), duplicated
+#: from ``repro.baseband.hop`` on purpose (see module docstring).
+CHANNEL_REGISTER = tuple(range(0, 79, 2)) + tuple(range(1, 79, 2))
+
+
+def connection_reference(selector, clk: int) -> int:
+    """Scalar connection-state hop kernel at piconet clock ``clk``.
+
+    One clock at a time through the selector's scalar selection box
+    (``_select_index``: scalar PERM5, no arrays), then the AFH remap of
+    the adaptive hop set installed for the selector's address: a channel
+    outside the used set is replaced by entry ``index mod N`` of the used
+    channels in register order.  This is the per-call fill the vectorized
+    ``connection_many`` / windowed memo fill replaced.
+    """
+    x = (clk >> 2) & 0x1F
+    y1 = (clk >> 1) & 1
+    a = selector._a ^ ((clk >> 21) & 0x1F)
+    c = selector._c ^ ((clk >> 16) & 0x1F)
+    d = selector._d ^ ((clk >> 7) & 0x1FF)
+    f = (16 * ((clk >> 7) & 0x1FFFFF)) % 79
+    index = selector._select_index(x=x, y1=y1, y2=32 * y1, a=a,
+                                   b=selector._b, c=c, d=d, f=f)
+    freq = CHANNEL_REGISTER[index]
+    afh = selector.afh_map
+    if afh is not None and not afh.used_mask[freq]:
+        used = [channel for channel in CHANNEL_REGISTER
+                if afh.used_mask[channel]]
+        freq = used[index % len(used)]
+    return freq

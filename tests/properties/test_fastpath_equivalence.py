@@ -27,7 +27,7 @@ from repro.baseband.fec import (
     fec23_encode,
 )
 from repro.baseband.hec import HEC_DEGREE, HEC_POLY
-from repro.baseband.hop import HopSelector, channel_distribution
+from repro.baseband.hop import HopRegistry, HopSelector, channel_distribution
 from repro.baseband.lfsr import Lfsr, remainder_bits, shift_divide
 from repro.baseband.whitening import whitening_sequence, whitening_slice
 from repro.baseband.address import BdAddr, GIAC_LAP
@@ -185,23 +185,47 @@ class TestSyncWordEquivalence:
                               ref.sync_word_reference(0x13579B))
 
 
+#: Optional AFH used-channel sets (None = no adaptive hop set installed).
+afh_used_sets = st.one_of(
+    st.none(), st.sets(st.integers(0, 78), min_size=20, max_size=79))
+
+
+def _selector(address: int, used) -> HopSelector:
+    """A selector on a fresh registry (empty memo), with the AFH map of
+    ``used`` installed when given."""
+    selector = HopSelector(address, HopRegistry())
+    if used is not None:
+        mask = np.zeros(79, dtype=bool)
+        mask[sorted(used)] = True
+        selector.set_afh_map(mask)
+    return selector
+
+
 class TestHopEquivalence:
+    """The vectorized connection kernel — ``connection_many``, the
+    windowed memo fill behind ``connection`` and ``channel_distribution``
+    — against the scalar kernel oracle, with and without AFH remap."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, (1 << 28) - 1), st.lists(
-        st.integers(0, (1 << 28) - 1), min_size=1, max_size=50))
-    def test_connection_many_matches_scalar(self, address, clks):
-        selector = HopSelector(address)
+        st.integers(0, (1 << 28) - 1), min_size=1, max_size=50),
+        afh_used_sets)
+    def test_connection_many_matches_scalar(self, address, clks, used):
+        selector = _selector(address, used)
+        expected = [ref.connection_reference(selector, clk) for clk in clks]
         got = selector.connection_many(np.array(clks, dtype=np.int64))
-        assert got.tolist() == [selector.connection(clk) for clk in clks]
+        assert got.tolist() == expected
+        assert [selector.connection(clk) for clk in clks] == expected
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, (1 << 28) - 1), st.integers(0, (1 << 28) - 1),
-           st.integers(0, 200))
-    def test_channel_distribution_matches_scalar(self, address, clk_start, samples):
-        selector = HopSelector(address)
+           st.integers(0, 200), afh_used_sets)
+    def test_channel_distribution_matches_scalar(self, address, clk_start,
+                                                 samples, used):
+        selector = _selector(address, used)
         counts = np.zeros(79, dtype=np.int64)
         for k in range(samples):
-            counts[selector.connection(clk_start + 4 * k)] += 1
+            counts[ref.connection_reference(selector, clk_start + 4 * k)] += 1
         assert np.array_equal(
             channel_distribution(selector, clk_start, samples), counts)
 

@@ -5,7 +5,8 @@ consume the channel's stage RNG stream exactly like the scalar
 ``sample_stages`` / ``sample_sync`` loop they replace inside the batch
 sync event — same outcomes *and* same final generator state, so every
 event after the batch draws identical variates.  The scalar samplers stay
-the reference path (``Channel.batch_sync = False``).
+the reference path (``Channel._full_decode``, which a one-listener sync
+batch takes).
 """
 
 from __future__ import annotations

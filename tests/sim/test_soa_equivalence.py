@@ -24,14 +24,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import units
 from repro.api import Session
 from repro.baseband.packets import PacketType
+from repro.baseband.timing import HEADER_DECISION_NS, SYNC_DECISION_NS
 from repro.experiments.common import page_up_pair, paper_config
 from repro.experiments.ext_interference import build_campaign_session
 from repro.link.traffic import SaturatedTraffic
@@ -117,6 +120,87 @@ def test_soa_capture_stream_identical():
     assert len(soa_events) == len(obj_events)
     assert soa_events == obj_events
     assert soa_session.slot_engine.windows_absorbed > 0
+
+
+# ----------------------------------------------------------------------
+# Handback inside a transmission's staged delivery
+# ----------------------------------------------------------------------
+
+#: Seed of the one-piconet world (one receiver per transmission).
+HANDBACK_SEED = 41
+
+
+def _staged_instants() -> tuple[int, int, int]:
+    """Start, sync decision and header decision of the first transmission
+    six slots after bring-up of the one-piconet world (found on the
+    object kernel; both engines are deterministic and share it)."""
+    with _engine("object"):
+        session, _ = build_campaign_session(1, HANDBACK_SEED, capture=True)
+    after = session.sim.now + 6 * units.SLOT_NS
+    session.run_until(after + 4 * units.SLOT_NS)
+    start = min(record[0] for record in session.capture._events
+                if record[1] == "tx_start" and record[0] >= after)
+    delay = session.config.rf.modem_delay_ns
+    return (start, start + delay + SYNC_DECISION_NS,
+            start + delay + HEADER_DECISION_NS)
+
+
+def _pending_stage_events(session, start: int) -> dict:
+    """The queued channel stage events of the transmission that started
+    at ``start``, by callback name."""
+    found = {}
+    for _, _, _, event in session.sim._queue._heap:
+        callback = event.callback
+        if event.cancelled or not isinstance(callback, partial):
+            continue
+        if callback.args[0].start_ns == start:
+            found.setdefault(callback.func.__name__, []).append(callback)
+    return found
+
+
+@pytest.mark.parametrize("stage", ["sync", "header"])
+@pytest.mark.parametrize("offset_ns", [-1, 0, 1])
+def test_soa_handback_between_staged_deliveries(stage, offset_ns):
+    """A ``run_until`` bound 1 ns before, at and 1 ns after the sync and
+    header decisions of a one-receiver transmission: the SoA engine
+    absorbs the window up to the bound, hands the remaining stage events
+    back to the kernel (a pending sync as one ``_sync_batch`` event) and
+    ends byte-identical to the object kernel, capture stream included."""
+    start, sync_at, header_at = _staged_instants()
+    bound = (sync_at if stage == "sync" else header_at) + offset_ns
+    end = start + 40 * units.SLOT_NS
+
+    runs = {}
+    for engine in ("object", "soa"):
+        with _engine(engine):
+            session, pairs = build_campaign_session(1, HANDBACK_SEED,
+                                                    capture=True)
+        slot_engine = session.slot_engine
+        before = slot_engine.windows_absorbed if slot_engine else 0
+        session.run_until(bound)
+        absorbed = (slot_engine.windows_absorbed - before
+                    if slot_engine else 0)
+        pending = _pending_stage_events(session, start)
+        session.run_until(end)
+        runs[engine] = (session, pairs, pending, absorbed)
+
+    obj_session, obj_pairs, obj_pending, _ = runs["object"]
+    soa_session, soa_pairs, soa_pending, absorbed = runs["soa"]
+    assert absorbed == 1  # the window up to the bound ran in the engine
+    assert soa_pending.keys() == obj_pending.keys()
+    if bound <= sync_at:
+        # the sync decision is still ahead: one re-materialised batch
+        # event holding the one receiver
+        (sync,) = soa_pending["_sync_batch"]
+        assert len(sync.args[1]) == 1
+        assert "_header_stage" not in soa_pending
+    else:
+        assert "_sync_batch" not in soa_pending
+        assert ("_header_stage" in soa_pending) == (bound <= header_at)
+    assert _outcome(soa_session, soa_pairs) == _outcome(obj_session,
+                                                        obj_pairs)
+    assert list(soa_session.capture._events) == \
+        list(obj_session.capture._events)
 
 
 def test_object_engine_has_no_slot_engine():

@@ -8,6 +8,10 @@ on synthetic trials, on the real simulation trial functions behind the
 paper's BER figures, and on every registered experiment end-to-end, plus
 hypothesis property tests that the seed derivation has no collisions over
 (master seed, sweep point, trial).
+
+The flattened sweep queue is also held to a tests-side oracle,
+:func:`per_point_reference`: the per-point loop it replaced, one
+Monte-Carlo batch per x point with a barrier between points.
 """
 
 import pickle
@@ -23,6 +27,7 @@ from repro.experiments import (
     fig08_failure_probability,
     run_experiment,
 )
+from repro.stats.estimators import mean_with_ci, wilson_interval
 from repro.stats.executor import (
     JOBS_ENV_VAR,
     SequentialExecutor,
@@ -30,7 +35,6 @@ from repro.stats.executor import (
     get_executor,
 )
 from repro.stats.montecarlo import (
-    LEGACY_SEED_STRIDE,
     MASK64,
     MonteCarlo,
     TrialOutcome,
@@ -38,11 +42,31 @@ from repro.stats.montecarlo import (
 )
 from repro.stats.resilient import ResilientExecutor
 from repro.stats.sweep import (
-    LEGACY_POINT_STRIDE,
     SWEEP_POINT_STREAM,
     Sweep,
+    SweepPoint,
     run_flattened,
 )
+
+
+def per_point_reference(master_seed: int, trials: int,
+                        xs: list[tuple[float, str]],
+                        trial_fn) -> list[SweepPoint]:
+    """A sweep run point by point: one sequential Monte-Carlo batch per x
+    value at master seed ``derive_seed(master_seed, point,
+    stream=SWEEP_POINT_STREAM)``, aggregated as each point finishes."""
+    points = []
+    for point_index, (x, label) in enumerate(xs):
+        mc = MonteCarlo(master_seed=derive_seed(
+            master_seed, point_index, stream=SWEEP_POINT_STREAM),
+            trials=trials)
+        outcomes = mc.run(lambda seed: trial_fn(x, seed))
+        values = [o.value for o in outcomes if o.success]
+        points.append(SweepPoint(
+            x=x, label=label, mean=mean_with_ci(values),
+            success=wilson_interval(len(values), len(outcomes)),
+            extra=outcomes))
+    return points
 
 
 def _synthetic_trial(seed: int) -> TrialOutcome:
@@ -144,22 +168,16 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
 @pytest.mark.parametrize("name", sorted(SIM_TRIAL_FNS))
 def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
     """The byte-identity contract of the flattened work queue: for every
-    figure-style sweep, ``dispatch="flat"`` must equal ``"per_point"`` at
-    jobs 1, 2 and 4 (and all of those must equal each other)."""
+    figure-style sweep, the flat queue at jobs 1, 2 and 4 must equal the
+    per-point reference loop."""
     trial_fn = SIM_TRIAL_FNS[name]
-    reference = Sweep(master_seed=7, trials_per_point=3).run(
-        SMALL_GRID, trial_fn, executor=SequentialExecutor(),
-        dispatch="per_point")
-    reference_bytes = pickle.dumps(reference)
+    reference_bytes = pickle.dumps(
+        per_point_reference(7, 3, SMALL_GRID, trial_fn))
     for jobs in (1, 2, 4):
         with ResilientExecutor(jobs=jobs) as executor:
             flat = Sweep(master_seed=7, trials_per_point=3).run(
-                SMALL_GRID, trial_fn, executor=executor, dispatch="flat")
-            per_point = Sweep(master_seed=7, trials_per_point=3).run(
-                SMALL_GRID, trial_fn, executor=executor,
-                dispatch="per_point")
+                SMALL_GRID, trial_fn, executor=executor)
         assert pickle.dumps(flat) == reference_bytes
-        assert pickle.dumps(per_point) == reference_bytes
 
 
 def test_multi_sweep_flattened_queue_identical_to_separate_runs():
@@ -174,20 +192,12 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
     with ResilientExecutor(jobs=3) as executor:
         combined = run_flattened(specs, executor)
     separate = [
-        Sweep(master_seed=3, trials_per_point=2).run(
-            SMALL_GRID, fig08_failure_probability.inquiry_trial,
-            dispatch="per_point"),
-        Sweep(master_seed=4, trials_per_point=2).run(
-            SMALL_GRID, fig08_failure_probability.page_trial,
-            dispatch="per_point"),
+        per_point_reference(3, 2, SMALL_GRID,
+                            fig08_failure_probability.inquiry_trial),
+        per_point_reference(4, 2, SMALL_GRID,
+                            fig08_failure_probability.page_trial),
     ]
     assert pickle.dumps(combined) == pickle.dumps(separate)
-
-
-def test_unknown_dispatch_mode_rejected():
-    with pytest.raises(ValueError, match="dispatch"):
-        Sweep(master_seed=1, trials_per_point=1).run(
-            [(0.0, "0")], _synthetic_trial_x, dispatch="sideways")
 
 
 def _synthetic_trial_x(x: float, seed: int) -> TrialOutcome:
@@ -212,12 +222,11 @@ class TestFlattenedInterleavingProperties:
     def test_flat_equals_per_point_under_any_chunking(
             self, n_points, trials, chunk_size, jobs, master):
         xs = [(float(i), f"p{i}") for i in range(n_points)]
-        reference = Sweep(master_seed=master, trials_per_point=trials).run(
-            xs, _synthetic_trial_x, executor=SequentialExecutor(),
-            dispatch="per_point")
+        reference = per_point_reference(master, trials, xs,
+                                        _synthetic_trial_x)
         with ResilientExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
             flat = Sweep(master_seed=master, trials_per_point=trials).run(
-                xs, _synthetic_trial_x, executor=executor, dispatch="flat")
+                xs, _synthetic_trial_x, executor=executor)
         assert pickle.dumps(flat) == pickle.dumps(reference)
         # aggregate order is the x-grid order, never the completion order
         assert [p.label for p in flat] == [label for _, label in xs]
@@ -266,11 +275,13 @@ class TestSeedDerivationProperties:
         assert 0 <= derive_seed(master, index) <= MASK64
 
     def test_legacy_formulas_alias_where_new_derivation_does_not(self):
+        # the pre-v1 strides: trial seed m * 10_000 + i, point seed
+        # m + 7919 * p
+        trial_stride, point_stride = 10_000, 7919
         # trial stride alias: (m, 10_000) == (m+1, 0)
-        assert 3 * LEGACY_SEED_STRIDE + LEGACY_SEED_STRIDE \
-            == 4 * LEGACY_SEED_STRIDE + 0
-        assert derive_seed(3, LEGACY_SEED_STRIDE) != derive_seed(4, 0)
+        assert 3 * trial_stride + trial_stride == 4 * trial_stride + 0
+        assert derive_seed(3, trial_stride) != derive_seed(4, 0)
         # sweep-point alias: master 7920/point 1 == master 1/point 2
-        assert 7920 + LEGACY_POINT_STRIDE * 1 == 1 + LEGACY_POINT_STRIDE * 2
+        assert 7920 + point_stride * 1 == 1 + point_stride * 2
         assert derive_seed(7920, 1, stream=SWEEP_POINT_STREAM) \
             != derive_seed(1, 2, stream=SWEEP_POINT_STREAM)

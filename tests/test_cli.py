@@ -39,3 +39,20 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trial_counts_below_one_rejected(self, capsys, trials):
+        # regression: --trials -3 used to print a table of nan / 0/0 rows
+        # and exit 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig07", "--trials", trials])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_non_integer_trials_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig07", "--trials", "many"])
+        assert excinfo.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
