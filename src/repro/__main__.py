@@ -9,8 +9,9 @@ Usage::
     python -m repro store-compact results/campaign.jsonl
 
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) fans Monte Carlo
-trials out over worker processes; results are identical at any job count
-because every trial is a pure function of its derived seed.
+trials out over forked fabric worker processes on loopback; results are
+identical at any job count because every trial is a pure function of its
+derived seed.
 
 ``--resume-dir`` (or ``REPRO_RESUME_DIR``) journals every completed trial
 to an on-disk result store, so a campaign killed mid-run — worker death,
@@ -22,9 +23,11 @@ recovery path.
 
 ``--fabric`` (or ``REPRO_FABRIC``) runs campaigns on the distributed
 sweep fabric (:mod:`repro.stats.fabric`): a coordinator leases task
-chunks to fabric workers — locally spawned ones and/or ``fabric-worker``
-processes on other hosts.  ``--progress`` (or ``REPRO_PROGRESS``) prints
-a journal-backed status line while a campaign runs.
+chunks to fabric workers — locally forked ones and/or ``fabric-worker``
+processes on other hosts, which authenticate with the shared
+``REPRO_FABRIC_KEY`` (or ``fabric-worker --key``).  ``--progress`` (or
+``REPRO_PROGRESS``) prints a journal-backed status line while a campaign
+runs.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "optional SPEC is a REPRO_FABRIC string, "
                                  "e.g. 'workers=4' or "
                                  "'bind=0.0.0.0:7919,workers=0' to serve "
-                                 "external fabric-worker processes")
+                                 "external fabric-worker processes (which "
+                                 "needs REPRO_FABRIC_KEY set)")
     run_parser.add_argument("--progress", nargs="?", const="1", default=None,
                             metavar="SECS",
                             help="print a journal-backed status line to "
@@ -94,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a fabric coordinator as a worker process")
     worker_parser.add_argument("address", metavar="HOST:PORT",
                                help="the coordinator's listen address")
+    worker_parser.add_argument("--key", default=None,
+                               help="the coordinator's fabric key "
+                                    "(default: REPRO_FABRIC_KEY)")
     worker_parser.add_argument("--digest", default=None,
                                help="campaign-spec digest to insist on; a "
                                     "mismatched coordinator is refused "
@@ -119,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "fabric-worker":
         from repro.stats.fabric import worker_main
-        return worker_main(args.address, digest=args.digest, name=args.name,
-                           max_reconnects=args.reconnects)
+        return worker_main(args.address, key=args.key, digest=args.digest,
+                           name=args.name, max_reconnects=args.reconnects)
 
     if args.command == "store-compact":
         from repro.stats.store import StoreError, compact_journal

@@ -13,7 +13,7 @@ from repro import units
 from repro.config import SimulationConfig
 from repro.link.page import PageTarget
 from repro.stats.chaos import ChaosConfig
-from repro.stats.executor import Executor, default_jobs, get_executor
+from repro.stats.executor import Executor, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
 from repro.stats.montecarlo import TrialOutcome
 from repro.stats.resilient import ResilientExecutor
@@ -132,8 +132,8 @@ def progress_interval() -> Optional[float]:
 def _progress_printer(interval_s: float) -> Callable[[dict], None]:
     """A rate-limited stderr renderer of the journal-backed progress dict
     (``completed/total`` plus whatever counters the backend reports —
-    retries, redispatches, pool rebuilds, fabric workers, stolen leases,
-    missed heartbeats).  The final ``completed == total`` line always
+    retries, redispatches, fabric workers, stolen leases, missed
+    heartbeats, respawns).  The final ``completed == total`` line always
     prints, so a finished campaign never ends on a stale count."""
     last_emit = [0.0]
 
@@ -161,24 +161,27 @@ def _campaign_executor(jobs: Optional[int],
     """The execution backend for one campaign run.
 
     ``REPRO_FABRIC`` selects the distributed sweep fabric
-    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise
-    :func:`~repro.stats.executor.get_executor` picks the sequential
-    reference at one job and the
-    :class:`~repro.stats.resilient.ResilientExecutor` above — which also
-    takes over at one job as soon as a result journal is active,
+    (:class:`~repro.stats.fabric.FabricExecutor`) with its spec outright.
+    Above one job the fabric runs with that many forked loopback workers
+    (as :func:`~repro.stats.executor.get_executor` picks it).  At one job
+    the sequential reference runs — unless a result journal is active,
     ``REPRO_CHAOS`` schedules fault injection or ``REPRO_PROGRESS`` wants
-    the journal-backed status line, since its in-process path carries
-    the same chaos/retry/checkpoint story as the pool.
+    the journal-backed status line: then the in-process
+    :class:`~repro.stats.resilient.ResilientExecutor` carries the same
+    chaos/retry/checkpoint story as the fabric.
     """
     chaos = ChaosConfig.from_env()
     interval = progress_interval()
     on_progress = _progress_printer(interval) if interval is not None else None
     if os.environ.get(FABRIC_ENV_VAR, "").strip():
         return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
+    resolved = default_jobs(jobs)
+    if resolved > 1:
+        return FabricExecutor(workers=resolved, chaos=chaos,
+                              on_progress=on_progress)
     if store is None and chaos is None and on_progress is None:
-        return get_executor(jobs)
-    return ResilientExecutor(jobs=default_jobs(jobs), chaos=chaos,
-                             on_progress=on_progress)
+        return SequentialExecutor()
+    return ResilientExecutor(chaos=chaos, on_progress=on_progress)
 
 
 def archive_timeline(session, experiment_id: str, label: str) -> Optional[str]:
@@ -261,19 +264,21 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     ``jobs`` picks the execution backend (``REPRO_JOBS`` overrides, 1 =
     sequential); the outcome lists are identical at any job count because
     every trial is a pure function of its derived seed.  Pass ``executor``
-    instead to share one worker pool across several sweeps (the caller
-    then owns its lifetime).  The sweep runs as one flattened work queue
+    instead to share one backend across several sweeps (the caller then
+    owns its lifetime).  The sweep runs as one flattened work queue
     with no per-point barrier (see :mod:`repro.stats.sweep`).
 
     ``resume`` (or the ``REPRO_RESUME_DIR`` environment variable) makes
     the run **kill-and-resume safe**: completed trials are journalled to
     ``<dir>/<store_name>.jsonl`` as they finish, already-journalled ones
     are skipped on restart, and the journal header refuses a campaign
-    spec that differs from the one that wrote it.  When a journal (or
-    ``REPRO_CHAOS`` fault injection) is active, the backend is the
-    :class:`~repro.stats.resilient.ResilientExecutor`, which in a parallel
-    run additionally survives worker deaths and stragglers in place.
-    Aggregates stay byte-identical to a clean sequential run throughout.
+    spec that differs from the one that wrote it.  A parallel run goes to
+    the :class:`~repro.stats.fabric.FabricExecutor`, which survives worker
+    deaths, dropped connections and missed heartbeats in place by
+    re-leasing; at one job a journal (or ``REPRO_CHAOS`` fault injection)
+    selects the in-process
+    :class:`~repro.stats.resilient.ResilientExecutor`.  Aggregates stay
+    byte-identical to a clean sequential run throughout.
     """
     sweep = Sweep(master_seed=seed, trials_per_point=trials)
     spec = campaign_spec([(sweep, xs, trial_fn)])
@@ -298,7 +303,7 @@ def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
     """Run several sweeps as one flattened work queue.
 
     ``specs`` is a list of ``(seed, trials, xs, trial_fn)`` tuples.  All
-    sweeps' (point, trial) tasks go to the pool as a single ordered grid,
+    sweeps' (point, trial) tasks go to the executor as one ordered grid,
     so neither point boundaries nor sweep boundaries act as join barriers
     (Fig. 8 uses this for its inquiry + page pair).  Results are
     byte-identical to running each sweep separately.

@@ -1,7 +1,8 @@
 """Deterministic fault injection for the fault-tolerant execution layer.
 
-The recovery machinery in :mod:`repro.stats.resilient` (pool rebuilds,
-chunk re-dispatch, retry, resume-from-journal) is only trustworthy if it
+The recovery machinery of :mod:`repro.stats.fabric` and
+:mod:`repro.stats.lease` (worker respawns, chunk re-leasing, retry,
+resume-from-journal) is only trustworthy if it
 is itself tested under the repository's determinism contract.  This module
 supplies that test harness: a **seed-scheduled chaos schedule** that maps
 every trial seed to at most one injected fault — a worker-process crash, a
@@ -21,6 +22,7 @@ directory of ``O_CREAT | O_EXCL`` marker files when ``state_dir`` is set
 survive it) and a per-process set otherwise.
 
 Activation: pass a :class:`ChaosConfig` to
+:class:`~repro.stats.fabric.FabricExecutor` or
 :class:`~repro.stats.resilient.ResilientExecutor`, or set the
 ``REPRO_CHAOS`` environment variable, e.g.::
 
@@ -278,8 +280,9 @@ def maybe_inject(config: Optional[ChaosConfig], trial_seed: int) -> None:
     """Worker-side injection point, called before a trial executes.
 
     Crash faults take the whole worker process down with
-    :data:`CHAOS_EXIT_CODE` (the parent sees ``BrokenProcessPool``); hang
-    faults stall ``hang_s`` seconds (tripping chunk timeouts); exc faults
+    :data:`CHAOS_EXIT_CODE` (the coordinator sees a lost worker and
+    re-leases its chunk); hang faults stall ``hang_s`` seconds (a
+    straggler for lease stealing); exc faults
     raise :class:`ChaosError` (retryable).  Each fault fires at most once
     per ledger, so recovery always makes forward progress.
     """

@@ -7,13 +7,13 @@ ordered outcome list either way.  Three backends implement the
 
 * :class:`SequentialExecutor` (here) — the reference implementation, a
   plain ordered loop on the calling process;
-* :class:`~repro.stats.resilient.ResilientExecutor` — the local
-  fault-tolerant backend: a process pool with journal resume, chaos
-  injection, bounded retry and worker-death recovery (its in-process
-  path serves jobs=1 campaigns that journal, inject chaos or report
-  progress);
-* :class:`~repro.stats.fabric.FabricExecutor` — the same keyed-run core
-  (:mod:`repro.stats.lease`) leasing chunks to TCP workers on any host.
+* :class:`~repro.stats.resilient.ResilientExecutor` — the in-process
+  keyed executor: journal resume, chaos injection and bounded retry for
+  jobs=1 campaigns that journal, inject chaos or report progress;
+* :class:`~repro.stats.fabric.FabricExecutor` — the one multi-process
+  backend: the same keyed-run core (:mod:`repro.stats.lease`) leasing
+  chunks to forked loopback workers (``--jobs N``) or TCP workers on any
+  host, recovering from worker death, missed heartbeats and stragglers.
 
 Determinism contract: for any picklable ``fn`` and item list, every
 executor returns ``[fn(item) for item in items]`` — same values, same
@@ -98,10 +98,11 @@ class SequentialExecutor(Executor):
 
 def get_executor(jobs: Optional[int] = None) -> Executor:
     """The backend for a resolved job count: the sequential reference at
-    1, the :class:`~repro.stats.resilient.ResilientExecutor` pool above."""
-    from repro.stats.resilient import ResilientExecutor  # imports us
+    1, a :class:`~repro.stats.fabric.FabricExecutor` with that many forked
+    loopback workers above."""
+    from repro.stats.fabric import FabricExecutor  # imports us
 
     resolved = default_jobs(jobs)
     if resolved <= 1:
         return SequentialExecutor()
-    return ResilientExecutor(jobs=resolved)
+    return FabricExecutor(workers=resolved)

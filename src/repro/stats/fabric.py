@@ -1,21 +1,26 @@
-"""Distributed sweep fabric: lease-based multi-host campaign execution.
+"""Distributed sweep fabric: lease-based multi-process campaign execution.
 
-This is the scale-out layer of the fault-tolerant execution stack: a TCP
-**coordinator** (:class:`FabricCoordinator`) that leases the same
-seed-addressed ``(sweep, point, trial, seed)`` task chunks the result
-journal uses to **workers** (:class:`FabricWorker`) on any host, behind
-the ordinary :class:`~repro.stats.executor.Executor` interface
+This is the one multi-process backend of the fault-tolerant execution
+stack: a TCP **coordinator** (:class:`FabricCoordinator`) that leases the
+same seed-addressed ``(sweep, point, trial, seed)`` task chunks the
+result journal uses to **workers** (:class:`FabricWorker`) — forked
+loopback workers for ``--jobs N``, and/or ``fabric-worker`` processes on
+other hosts — behind the ordinary
+:class:`~repro.stats.executor.Executor` interface
 (:class:`FabricExecutor`).  Because every trial is a pure function of its
-derived seed, fanning a campaign across hosts changes nothing about its
-outcome: a fabric run pickles byte-identical to the sequential reference,
-which is exactly what the acceptance suite asserts.
+derived seed, fanning a campaign across processes or hosts changes
+nothing about its outcome: a fabric run pickles byte-identical to the
+sequential reference, which is exactly what the acceptance suite asserts.
 
 Protocol
 --------
-Length-prefixed JSON frames (4-byte big-endian length + UTF-8 JSON
-object) over a plain TCP socket; binary payloads (the trial callable,
-chunk items, trial outcomes) ride as base64 pickles, like the journal's
-records.  The flow:
+Length-prefixed, authenticated JSON frames over a plain TCP socket: a
+4-byte big-endian length, a 32-byte HMAC-SHA256 tag of the body under
+the shared fabric key, then the UTF-8 JSON object.  The tag is checked
+with :func:`hmac.compare_digest` before the body is decoded, so nothing
+from a peer without the key is ever JSON-decoded or unpickled.  Binary
+payloads (the trial callable, chunk items, trial outcomes) ride as
+base64 pickles, like the journal's records.  The flow:
 
 * ``hello`` (worker → coordinator): name + the campaign-spec digest the
   worker was launched for (or null for "any").  A mismatched digest is
@@ -27,28 +32,31 @@ records.  The flow:
 * ``lease`` (coordinator → worker): one chunk — journal keys + items.
 * ``result`` / ``error`` (worker → coordinator): the chunk's outcome
   list, or the wrapped :class:`~repro.stats.montecarlo.TrialExecutionError`.
+  Accepted only from a connection that completed the handshake.
 * ``heartbeat`` (worker → coordinator): sent every interval from a
   side thread, so a long trial never looks like a dead worker.
 * ``shutdown`` (coordinator → worker): campaign complete.
 
 Journal resume, completion-order checkpoints, ordered progress, the
 in-process fallback and the retry rule are the keyed-run core of
-:mod:`repro.stats.lease`, shared with
-:class:`~repro.stats.resilient.ResilientExecutor`; this module adds only
-the TCP dispatch loop.  Failure semantics (all journal-backed):
+:mod:`repro.stats.lease`, shared with the in-process
+:class:`~repro.stats.resilient.ResilientExecutor`; this module adds the
+one lease-and-recover loop (:meth:`FabricCoordinator.run`).  Failure
+semantics (all journal-backed):
 
 * **worker death / connection drop** — the worker's leases lose their
-  owner and are re-leased to the next idle worker; locally spawned
-  workers are respawned up to ``max_worker_respawns`` times.
+  owner and are re-leased to the next idle worker; locally forked
+  workers are respawned up to ``max_worker_respawns`` times, and past
+  the budget, with no worker left, the campaign dies checkpointed.
 * **missed heartbeats** — a worker silent past ``heartbeat_timeout_s``
   is expired and its leases re-leased; its late results arrive as
   duplicates and are dropped before the journal.
 * **stragglers** — with ``steal_after_s`` set, an idle worker *steals* a
   duplicate assignment of the oldest in-flight lease; first completion
   wins, the loser is discarded pre-journal.
-* **coordinator death** — every completed chunk was journalled and
-  fsynced on arrival, so rerunning the campaign resumes from the
-  checkpoint exactly like any other killed run.
+* **coordinator death** (Ctrl-C included) — every completed chunk was
+  journalled and fsynced on arrival, so rerunning the campaign resumes
+  from the checkpoint exactly like any other killed run.
 
 Network chaos (connection drop, heartbeat blackhole, duplicated and
 delayed delivery) is scheduled by :mod:`repro.stats.chaos` as a pure
@@ -56,22 +64,34 @@ function of the chaos and trial seeds, so all of the above is exercised
 deterministically in CI over localhost (``REPRO_CHAOS`` with
 ``drop=``/``blackhole=``/``dup=``/``delay=`` bands).
 
-Activation: ``REPRO_FABRIC`` (or ``--fabric``, or ``executor="fabric"``
-on the sweep entry points), e.g. ``REPRO_FABRIC="workers=4"`` for local
-fork workers or ``REPRO_FABRIC="bind=0.0.0.0:7919,workers=0"`` plus
-``python -m repro fabric-worker HOST:7919`` on other hosts.
+Activation: ``--jobs N`` (forked loopback workers), or ``REPRO_FABRIC``
+/ ``--fabric`` / ``executor="fabric"`` on the sweep entry points with a
+spec, e.g. ``REPRO_FABRIC="workers=4"``, or
+``REPRO_FABRIC="bind=0.0.0.0:7919,workers=0"`` plus ``python -m repro
+fabric-worker HOST:7919`` on other hosts — both sides holding the same
+``REPRO_FABRIC_KEY``.
 
-Trust model: frames carry pickles, so the fabric must only be exposed to
-trusted hosts (a lab LAN, an SSH tunnel) — the same stance as every
-pickle-shipping cluster tool.
+Trust model: frames carry pickles, so only peers holding the fabric key
+may speak.  Locally forked workers share a fresh per-run
+:mod:`secrets` key that they inherit through fork and that never
+crosses the wire; remote workers and coordinators take the key from
+``REPRO_FABRIC_KEY`` (or ``fabric-worker --key``), and a coordinator
+that serves external workers without a key is refused.  The tag
+authenticates each frame, not the session: replaying a captured frame
+is out of scope (a replayed result is a duplicate the lease table drops;
+a replayed lease recomputes a pure trial), and frames are not
+encrypted — trial inputs and outcomes travel in the clear.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
+import hmac
 import json
 import os
 import pickle
+import secrets
 import socket
 import struct
 import threading
@@ -100,8 +120,12 @@ from repro.stats.store import ResultStore
 #: ``REPRO_FABRIC="workers=2"`` (see :meth:`FabricExecutor.from_spec`).
 FABRIC_ENV_VAR = "REPRO_FABRIC"
 
-#: Wire protocol version, checked at handshake.
-PROTOCOL_VERSION = 1
+#: Environment credential: the shared key that authenticates every
+#: fabric frame between a coordinator and its remote workers.
+FABRIC_KEY_ENV_VAR = "REPRO_FABRIC_KEY"
+
+#: Wire protocol version, checked at handshake (2: HMAC-tagged frames).
+PROTOCOL_VERSION = 2
 
 #: Frame size guard: a single message may not exceed this many bytes.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -111,6 +135,9 @@ UNBOUND_DIGEST = "unbound"
 
 _LEN = struct.Struct(">I")
 
+#: Length of the HMAC-SHA256 tag leading every frame body.
+_TAG_BYTES = hashlib.sha256().digest_size
+
 
 class FabricError(RuntimeError):
     """Base class of fabric failures."""
@@ -118,6 +145,11 @@ class FabricError(RuntimeError):
 
 class FabricProtocolError(FabricError):
     """A malformed or oversized frame arrived on a fabric connection."""
+
+
+class FabricAuthError(FabricProtocolError):
+    """A frame failed its HMAC check: a peer without the fabric key (or
+    with another key), or a frame altered in transit."""
 
 
 class WorkerRefusedError(FabricError):
@@ -131,9 +163,14 @@ class _InjectedDrop(ConnectionError):
 
 # -- framing ---------------------------------------------------------------
 
-def send_message(sock: socket.socket, message: dict) -> None:
-    """Send one length-prefixed JSON frame."""
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8")
+def _tag(key: bytes, body: bytes) -> bytes:
+    return hmac.new(key, body, hashlib.sha256).digest()
+
+
+def send_message(sock: socket.socket, message: dict, key: bytes) -> None:
+    """Send one length-prefixed, ``key``-tagged JSON frame."""
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    data = _tag(key, body) + body
     if len(data) > MAX_FRAME_BYTES:
         raise FabricProtocolError(
             f"refusing to send a {len(data)}-byte frame "
@@ -151,8 +188,12 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     return bytes(buf)
 
 
-def recv_message(sock: socket.socket) -> Optional[dict]:
-    """Receive one frame; None on a clean (or mid-frame) connection end."""
+def recv_message(sock: socket.socket, key: bytes) -> Optional[dict]:
+    """Receive one frame; None on a clean (or mid-frame) connection end.
+
+    The body's tag is checked against ``key`` before anything is
+    decoded; a mismatch raises :class:`FabricAuthError`.
+    """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
         return None
@@ -160,9 +201,14 @@ def recv_message(sock: socket.socket) -> Optional[dict]:
     if length > MAX_FRAME_BYTES:
         raise FabricProtocolError(
             f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    body = _recv_exact(sock, length)
-    if body is None:
+    data = _recv_exact(sock, length)
+    if data is None:
         return None
+    tag, body = data[:_TAG_BYTES], data[_TAG_BYTES:]
+    if not hmac.compare_digest(tag, _tag(key, body)):
+        raise FabricAuthError(
+            "frame failed authentication (wrong fabric key or altered "
+            "in transit)")
     try:
         message = json.loads(body)
         if not isinstance(message, dict):
@@ -190,11 +236,41 @@ def parse_address(value: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
+def fabric_key(value: Optional[str] = None) -> Optional[bytes]:
+    """The fabric key from ``value``, else ``REPRO_FABRIC_KEY``; None when
+    neither is set (blank counts as unset)."""
+    if value is None:
+        value = os.environ.get(FABRIC_KEY_ENV_VAR)
+    value = (value or "").strip()
+    return value.encode("utf-8") if value else None
+
+
+def _is_loopback(host: str) -> bool:
+    return host in ("localhost", "::1") or host.startswith("127.")
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.  Forked workers inherit copies
+    of the coordinator's descriptors, so closing ours alone does not close
+    the socket: a listener would keep queueing connections nobody
+    accepts, and a peer would never see a FIN.  shutdown() acts on the
+    socket itself — a listener stops listening (resetting its queue), a
+    connection sends its FIN — whoever else holds a descriptor."""
+    for end in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            end()
+        except OSError:
+            pass
+
+
 # -- worker side -----------------------------------------------------------
 
 class FabricWorker:
     """One fabric worker: connect, register, compute leases, heartbeat.
 
+    ``key`` is the shared fabric key every frame is tagged and checked
+    with; a coordinator whose frames fail the check raises
+    :class:`FabricAuthError` (no retry: a wrong key stays wrong).
     ``digest`` is the campaign-spec digest this worker was launched for
     (None accepts any campaign); a mismatch either way raises
     :class:`WorkerRefusedError` instead of computing for the wrong
@@ -206,7 +282,7 @@ class FabricWorker:
     delivery-side network faults (drop / blackhole / dup / delay).
     """
 
-    def __init__(self, address: tuple[str, int], *,
+    def __init__(self, address: tuple[str, int], *, key: bytes,
                  name: Optional[str] = None,
                  digest: Optional[str] = None,
                  chaos: Optional[ChaosConfig] = None,
@@ -215,6 +291,7 @@ class FabricWorker:
                  max_reconnects: int = 8,
                  connect_timeout_s: float = 5.0):
         self.address = address
+        self.key = key
         self.name = name or f"{socket.gethostname()}-pid{os.getpid()}"
         self.digest = digest
         self.chaos = chaos if chaos is not None else ChaosConfig.from_env()
@@ -233,7 +310,7 @@ class FabricWorker:
 
     def _send(self, message: dict) -> None:
         with self._send_lock:
-            send_message(self._sock, message)
+            send_message(self._sock, message, self.key)
 
     def _heartbeat_loop(self, interval_s: float,
                         stop: threading.Event) -> None:
@@ -252,8 +329,9 @@ class FabricWorker:
 
         Exits on the coordinator's ``shutdown`` (campaign complete) or
         once ``max_reconnects`` consecutive connection attempts fail
-        (coordinator gone).  :class:`WorkerRefusedError` propagates — a
-        refused worker should be noisy, not retry forever.
+        (coordinator gone).  :class:`WorkerRefusedError` and
+        :class:`FabricAuthError` propagate — a refused worker should be
+        noisy, not retry forever.
         """
         failed_attempts = 0
         while not self._shutdown:
@@ -275,6 +353,8 @@ class FabricWorker:
             self._sock = sock
             try:
                 self._serve(sock, stop_heartbeat)
+            except FabricAuthError:
+                raise
             except (ConnectionError, OSError, FabricProtocolError):
                 # drop (injected or real): back to the connect loop
                 time.sleep(self.reconnect_base_s)
@@ -291,7 +371,7 @@ class FabricWorker:
                ) -> None:
         self._send({"type": "hello", "worker": self.name,
                     "digest": self.digest, "protocol": PROTOCOL_VERSION})
-        reply = recv_message(sock)
+        reply = recv_message(sock, self.key)
         if reply is None:
             raise ConnectionError("coordinator closed during handshake")
         if reply.get("type") == "refuse":
@@ -312,7 +392,7 @@ class FabricWorker:
             args=(float(reply.get("heartbeat_s", 0.2)), stop_heartbeat),
             daemon=True).start()
         while True:
-            message = recv_message(sock)
+            message = recv_message(sock, self.key)
             if message is None:
                 raise ConnectionError("coordinator closed the connection")
             mtype = message.get("type")
@@ -356,20 +436,28 @@ class FabricWorker:
         self.completed += 1
 
 
-def worker_main(address: str, *, digest: Optional[str] = None,
+def worker_main(address: str, *, key: Optional[str] = None,
+                digest: Optional[str] = None,
                 name: Optional[str] = None,
                 max_reconnects: int = 8) -> int:
     """CLI entry point (``python -m repro fabric-worker HOST:PORT``).
 
+    ``key`` (else ``REPRO_FABRIC_KEY``) is the coordinator's fabric key.
     Returns a process exit status: 0 after a clean campaign shutdown or
-    a coordinator that went away, 3 when the coordinator refused the
-    worker (digest mismatch).
+    a coordinator that went away, 2 without a key, 3 when the
+    coordinator refused the worker (digest mismatch) or the two sides
+    hold different keys.
     """
-    worker = FabricWorker(parse_address(address), digest=digest, name=name,
-                          max_reconnects=max_reconnects)
+    secret = fabric_key(key)
+    if secret is None:
+        print(f"fabric-worker: no fabric key (pass --key or set "
+              f"{FABRIC_KEY_ENV_VAR})", flush=True)
+        return 2
+    worker = FabricWorker(parse_address(address), key=secret, digest=digest,
+                          name=name, max_reconnects=max_reconnects)
     try:
         completed = worker.run()
-    except WorkerRefusedError as error:
+    except (WorkerRefusedError, FabricAuthError) as error:
         print(f"fabric-worker refused: {error}", flush=True)
         return 3
     print(f"fabric-worker {worker.name}: {completed} leases completed",
@@ -398,7 +486,7 @@ class _WorkerConn:
 def new_counters() -> dict:
     """A fresh fabric counter dict (also the progress-dict key set)."""
     return {"workers": 0, "workers_seen": 0, "workers_lost": 0,
-            "workers_refused": 0, "leases_stolen": 0,
+            "workers_refused": 0, "frames_rejected": 0, "leases_stolen": 0,
             "heartbeats_missed": 0, "duplicates_dropped": 0,
             "retries": 0, "redispatches": 0, "respawns": 0}
 
@@ -408,12 +496,17 @@ class FabricCoordinator:
 
     Owns the listening socket and one reader thread per worker
     connection; all sends happen from the :meth:`run` loop thread, so no
-    per-socket write locking is needed.  ``counters`` (see
+    per-socket write locking is needed.  Every frame is tagged and
+    checked with ``key``; a connection whose frame fails the check is
+    refused (before the handshake) or dropped (after it), and ``result``
+    / ``error`` frames count only from connections that completed the
+    handshake (``frames_rejected`` counts the rest).  ``counters`` (see
     :func:`new_counters`) is shared with the caller for progress
     reporting.
     """
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0), *,
+                 key: bytes,
                  digest: str = UNBOUND_DIGEST,
                  heartbeat_interval_s: float = 0.2,
                  heartbeat_timeout_s: Optional[float] = None,
@@ -423,6 +516,7 @@ class FabricCoordinator:
                  backoff_base_s: float = 0.25,
                  counters: Optional[dict] = None):
         self.bind = bind
+        self.key = key
         self.digest = digest
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = (heartbeat_timeout_s
@@ -458,17 +552,11 @@ class FabricCoordinator:
         """Stop accepting, shut workers down, close every socket."""
         self._stop.set()
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _shut(self._sock)
             self._sock = None
         for conn in list(self._conns):
             if conn.registered and not conn.closed:
-                try:
-                    send_message(conn.sock, {"type": "shutdown"})
-                except OSError:
-                    pass
+                self._send(conn, {"type": "shutdown"})
             self._close_conn(conn)
 
     def __enter__(self) -> "FabricCoordinator":
@@ -492,13 +580,27 @@ class FabricCoordinator:
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _WorkerConn(client, peer)
             self._conns.add(conn)
+            if self._stop.is_set():
+                # accepted while close() ran: it may have missed this one
+                self._close_conn(conn)
+                return
             threading.Thread(target=self._reader_loop, args=(conn,),
                              daemon=True).start()
+
+    def _send(self, conn: _WorkerConn, message: dict) -> bool:
+        try:
+            send_message(conn.sock, message, self.key)
+        except OSError:
+            return False
+        return True
 
     def _reader_loop(self, conn: _WorkerConn) -> None:
         while True:
             try:
-                message = recv_message(conn.sock)
+                message = recv_message(conn.sock, self.key)
+            except FabricAuthError as error:
+                self._events.put(("forged", conn, repr(error)))
+                return
             except (OSError, FabricProtocolError) as error:
                 self._events.put(("dead", conn, repr(error)))
                 return
@@ -519,12 +621,8 @@ class FabricCoordinator:
         conn.closed = True
         self._conns.discard(conn)
         if conn.registered:
-            conn.registered = False
             self.counters["workers"] -= 1
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        _shut(conn.sock)
 
     # -- the recovery loop ------------------------------------------------
 
@@ -540,6 +638,7 @@ class FabricCoordinator:
         ``max_retries`` failed attempts.
         """
         fn_payload = _pack(fn)
+        self._last_sweep = time.monotonic()
         by_id = {lease.lease_id: lease for lease in leases}
         remaining = sum(1 for lease in leases if not lease.done)
         while remaining:
@@ -555,6 +654,8 @@ class FabricCoordinator:
                                                      on_complete)
                 elif kind == "error":
                     self._handle_error(conn, detail, by_id)
+                elif kind == "forged":
+                    self._handle_forged(conn, detail)
                 event = self._next_event(block=False)
             self._expire_silent_workers()
             self._assign_leases(leases)
@@ -581,25 +682,33 @@ class FabricCoordinator:
         else:
             reason = None
         if reason is not None:
-            self.counters["workers_refused"] += 1
-            try:
-                send_message(conn.sock, {"type": "refuse", "reason": reason})
-            except OSError:
-                pass
-            self._close_conn(conn)
+            self._refuse(conn, reason)
             return
-        try:
-            send_message(conn.sock, {
-                "type": "welcome", "digest": self.digest,
-                "fn": fn_payload,
-                "heartbeat_s": self.heartbeat_interval_s})
-        except OSError:
+        if not self._send(conn, {"type": "welcome", "digest": self.digest,
+                                 "fn": fn_payload,
+                                 "heartbeat_s": self.heartbeat_interval_s}):
             self._close_conn(conn)
             return
         conn.registered = True
         conn.last_heartbeat = time.monotonic()
         self.counters["workers"] += 1
         self.counters["workers_seen"] += 1
+
+    def _refuse(self, conn: _WorkerConn, reason: str) -> None:
+        self.counters["workers_refused"] += 1
+        self._send(conn, {"type": "refuse", "reason": reason})
+        self._close_conn(conn)
+
+    def _handle_forged(self, conn: _WorkerConn, detail: str) -> None:
+        """A frame failed authentication: an impostor before the
+        handshake is refused (the refusal, tagged with our key, fails
+        *its* check, so it stops instead of reconnecting); a registered
+        connection carrying one is treated as lost."""
+        self.counters["frames_rejected"] += 1
+        if conn.registered:
+            self._handle_dead(conn)
+        elif not conn.closed:
+            self._refuse(conn, detail)
 
     def _handle_dead(self, conn: _WorkerConn) -> None:
         if conn.closed:
@@ -622,6 +731,9 @@ class FabricCoordinator:
 
     def _handle_result(self, conn: _WorkerConn, message: dict, by_id: dict,
                        on_complete: Callable) -> int:
+        if not conn.registered:
+            self.counters["frames_rejected"] += 1
+            return 0
         lease = by_id.get(message.get("lease"))
         if conn.lease is lease:
             conn.lease = None
@@ -637,6 +749,9 @@ class FabricCoordinator:
 
     def _handle_error(self, conn: _WorkerConn, message: dict,
                       by_id: dict) -> None:
+        if not conn.registered:
+            self.counters["frames_rejected"] += 1
+            return
         lease = by_id.get(message.get("lease"))
         if conn.lease is lease:
             conn.lease = None
@@ -648,10 +763,18 @@ class FabricCoordinator:
 
     def _expire_silent_workers(self) -> None:
         now = time.monotonic()
+        stalled = now - self._last_sweep > self.heartbeat_interval_s
+        self._last_sweep = now
         for conn in list(self._conns):
             if not conn.registered or conn.closed:
                 continue
-            if now - conn.last_heartbeat > self.heartbeat_timeout_s:
+            if stalled:
+                # this loop was not running (GC pause, host steal, a slow
+                # journal flush): silence measured across its own stall
+                # says nothing about a worker whose heartbeats may sit
+                # unread in the socket, so every clock restarts
+                conn.last_heartbeat = now
+            elif now - conn.last_heartbeat > self.heartbeat_timeout_s:
                 self.counters["heartbeats_missed"] += 1
                 self._handle_dead(conn)
 
@@ -696,12 +819,9 @@ class FabricCoordinator:
 
     def _send_lease(self, conn: _WorkerConn, lease: ChunkLease,
                     now: float) -> None:
-        try:
-            send_message(conn.sock, {
-                "type": "lease", "lease": lease.lease_id,
-                "keys": [list(key) for key in lease.keys],
-                "items": _pack(lease.items)})
-        except OSError:
+        if not self._send(conn, {"type": "lease", "lease": lease.lease_id,
+                                 "keys": [list(key) for key in lease.keys],
+                                 "items": _pack(lease.items)}):
             self._events.put(("dead", conn, "send failed"))
             return
         conn.lease = lease
@@ -717,13 +837,18 @@ class FabricCoordinator:
 
 # -- the executor ----------------------------------------------------------
 
-def _local_worker_main(address, digest, chaos, name):
-    """Entry point of a locally spawned (forked) fabric worker process."""
-    worker = FabricWorker(address, digest=digest, chaos=chaos, name=name,
-                          max_reconnects=6)
+def _local_worker_main(address, key, digest, chaos, name):
+    """Entry point of a locally forked fabric worker process.
+
+    No reconnect backoff: the coordinator listens before any local worker
+    is forked, so a refused connection means the campaign already ended
+    and the worker exits at once (status 0) instead of outliving it.
+    """
+    worker = FabricWorker(address, key=key, digest=digest, chaos=chaos,
+                          name=name, max_reconnects=0)
     try:
         worker.run()
-    except WorkerRefusedError:
+    except (WorkerRefusedError, FabricAuthError):
         os._exit(3)
 
 
@@ -735,8 +860,12 @@ class FabricExecutor(KeyedExecutor):
     ``bind`` (ephemeral port by default), optionally forks ``workers``
     local worker processes pointed at it, and serves the task queue until
     complete — external workers started with ``python -m repro
-    fabric-worker`` join the same campaign.  Journalling, resume, retry,
-    chaos and progress come from the keyed-run core shared with
+    fabric-worker`` and the same ``key`` join the same campaign.
+    ``key`` defaults to ``REPRO_FABRIC_KEY``; without one, each run draws
+    a fresh :mod:`secrets` key that only its forked workers inherit, and
+    a bind that serves external workers (non-loopback, or ``workers=0``)
+    is refused.  Journalling, resume, retry, chaos and progress come from
+    the keyed-run core shared with
     :class:`~repro.stats.resilient.ResilientExecutor`: journalled keys
     are never recomputed, fresh completions are recorded and fsynced in
     completion order, an unpicklable trial function runs in-process under
@@ -744,11 +873,10 @@ class FabricExecutor(KeyedExecutor):
     journal-backed dict extended with the fabric counters (``workers``,
     ``leases_stolen``, ``heartbeats_missed``, ...).
 
-    Locally spawned workers that die (chaos crash, OOM) are respawned up
+    Locally forked workers that die (chaos crash, OOM) are respawned up
     to ``max_worker_respawns`` times; once the budget is exhausted *and*
     no workers remain connected, the journal is checkpointed and
-    :class:`FabricError` propagates — rerun to resume, exactly like the
-    pool-rebuild budget of the resilient backend.
+    :class:`FabricError` propagates — rerun to resume.
     """
 
     _PROGRESS_COUNTERS = ("retries", "redispatches", "workers",
@@ -770,9 +898,16 @@ class FabricExecutor(KeyedExecutor):
                  journal: Optional[ResultStore] = None,
                  chaos: Optional[ChaosConfig] = None,
                  spec_digest: Optional[str] = None,
+                 key: Optional[bytes] = None,
                  on_progress: Optional[Callable[[dict], None]] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = external only)")
+        key = key if key is not None else fabric_key()
+        if key is None and (workers == 0 or not _is_loopback(bind[0])):
+            raise FabricError(
+                f"refusing to serve external fabric workers on "
+                f"{bind[0]}:{bind[1]} without a key; set "
+                f"{FABRIC_KEY_ENV_VAR} on the coordinator and its workers")
         super().__init__(journal=journal, chaos=chaos,
                          max_retries=max_retries,
                          backoff_base_s=backoff_base_s,
@@ -787,6 +922,7 @@ class FabricExecutor(KeyedExecutor):
         self.max_steals = max_steals
         self.max_worker_respawns = max_worker_respawns
         self.spec_digest = spec_digest
+        self.key = key
         #: the active (or most recent) coordinator address — what external
         #: ``fabric-worker`` processes connect to; None before a map runs.
         self.last_address: Optional[tuple[str, int]] = None
@@ -858,8 +994,9 @@ class FabricExecutor(KeyedExecutor):
         digest = (run.journal.spec_digest if run.journal is not None
                   else self.spec_digest) or UNBOUND_DIGEST
         counters = run.counters
+        key = self.key or secrets.token_bytes(32)
         coordinator = FabricCoordinator(
-            self.bind, digest=digest,
+            self.bind, key=key, digest=digest,
             heartbeat_interval_s=self.heartbeat_interval_s,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             steal_after_s=self.steal_after_s, max_steals=self.max_steals,
@@ -881,7 +1018,8 @@ class FabricExecutor(KeyedExecutor):
                 if respawns_left > 0:
                     respawns_left -= 1
                     counters["respawns"] += 1
-                    procs[slot] = self._spawn_worker(address, digest, slot)
+                    procs[slot] = self._spawn_worker(address, key, digest,
+                                                     slot)
             if all(proc is None for proc in procs) \
                     and coordinator.registered_workers == 0:
                 raise FabricError(
@@ -891,7 +1029,7 @@ class FabricExecutor(KeyedExecutor):
 
         try:
             for slot in range(self.workers):
-                procs[slot] = self._spawn_worker(address, digest, slot)
+                procs[slot] = self._spawn_worker(address, key, digest, slot)
             coordinator.run(fn, leases, on_complete=run.complete,
                             on_tick=_tick)
         finally:
@@ -900,10 +1038,11 @@ class FabricExecutor(KeyedExecutor):
 
     # -- local worker processes -------------------------------------------
 
-    def _spawn_worker(self, address, digest: str, slot: int):
+    def _spawn_worker(self, address, key: bytes, digest: str, slot: int):
         """Fork one local worker process pointed at ``address`` — fork
         (not spawn), so runtime-patched experiment state reaches workers
-        exactly like the process-pool backends."""
+        exactly as the sequential path sees it, and ``key`` is inherited
+        in memory rather than sent anywhere."""
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -914,7 +1053,7 @@ class FabricExecutor(KeyedExecutor):
         context = multiprocessing.get_context("fork")
         proc = context.Process(
             target=_local_worker_main,
-            args=(address, digest, self.chaos, f"local-{slot}"),
+            args=(address, key, digest, self.chaos, f"local-{slot}"),
             daemon=True)
         proc.start()
         return proc

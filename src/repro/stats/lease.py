@@ -16,13 +16,14 @@ trials execute:
   backoff retry, exactly like a dispatched chunk;
 * the give-up/backoff rule of a failed chunk (:func:`retry_or_give_up`).
 
-Subclasses supply only the dispatch loop:
-:class:`~repro.stats.resilient.ResilientExecutor` leases chunks to a
-local process pool, :class:`~repro.stats.fabric.FabricExecutor` to TCP
-workers on any host.  Both lease the same :class:`ChunkLease` records
-through the same chunk body (:func:`run_chunk`), so a task journalled by
-one resumes under the other, and chaos injection behaves identically in
-a pool worker, a fabric worker and the calling process.
+:class:`~repro.stats.resilient.ResilientExecutor` is that core with no
+dispatch at all (every trial in the calling process).
+:class:`~repro.stats.fabric.FabricExecutor` adds the one dispatch loop:
+it leases :class:`ChunkLease` records to forked loopback workers or TCP
+workers on any host, each running the same chunk body
+(:func:`run_chunk`) — so a task journalled by one executor resumes under
+the other, and chaos injection behaves identically in a fabric worker
+and in the calling process.
 """
 
 from __future__ import annotations
@@ -50,19 +51,18 @@ _CHUNKS_PER_JOB = 4
 
 
 class ChunkLease:
-    """One dispatched chunk: its item indices, retry state and deadline.
+    """One dispatched chunk: its item indices and retry state.
 
-    The base fields drive the retry and re-dispatch bookkeeping of every
-    keyed executor; the fabric additionally tracks which workers hold the
-    lease (``owners``), when it was last assigned (``assigned_at``) and
-    how many duplicate assignments were stolen onto idle workers
+    The base fields drive the retry bookkeeping of every keyed executor;
+    the fabric additionally tracks which workers hold the lease
+    (``owners``), when it was last assigned (``assigned_at``) and how
+    many duplicate assignments were stolen onto idle workers
     (``steals``).  First completion wins either way — duplicates are
     byte-identical because trials are pure functions of their seeds.
     """
 
     __slots__ = ("lease_id", "indices", "items", "keys", "attempts",
-                 "deadline", "retry_at", "done", "owners", "assigned_at",
-                 "steals")
+                 "retry_at", "done", "owners", "assigned_at", "steals")
 
     def __init__(self, indices: list, items: list, keys: list,
                  lease_id: int = 0):
@@ -71,7 +71,6 @@ class ChunkLease:
         self.items = items
         self.keys = keys
         self.attempts = 0       # failed attempts so far
-        self.deadline = None    # monotonic re-dispatch deadline
         self.retry_at = None    # monotonic backoff gate (failed leases)
         self.done = False
         self.owners: set = set()    # worker ids currently holding the lease
@@ -87,8 +86,7 @@ def run_chunk(fn: Callable[[Any], Any], chunk: list, keys: list,
     are never perturbed — a completed chaos campaign stays byte-identical
     to a clean one.  Any exception escaping the trial is wrapped with its
     journal key so the caller can quote the replay seed.  Shared verbatim
-    by the forked pool workers, the TCP fabric workers and the in-process
-    path.
+    by the fabric workers and the in-process path.
     """
     results = []
     for item, key in zip(chunk, keys):
@@ -209,7 +207,8 @@ class KeyedExecutor(Executor):
     :attr:`_LEDGER_KINDS` faults but no ledger directory gets one
     allocated, since retried chunks migrate between processes and a
     process-local ledger would re-fire the same fault in each of them.
-    Subclasses implement :meth:`_dispatches` and :meth:`_dispatch`.
+    On its own it runs every trial in the calling process; a dispatching
+    subclass overrides :meth:`_dispatches` and :meth:`_dispatch`.
     """
 
     #: counters reported in the progress dict, in report order.
@@ -217,10 +216,10 @@ class KeyedExecutor(Executor):
     #: chaos fault kinds whose fire-once claims need a durable ledger.
     _LEDGER_KINDS: tuple = FAULT_KINDS
 
-    def __init__(self, *, journal: Optional[ResultStore],
-                 chaos: Optional[ChaosConfig], max_retries: int,
-                 backoff_base_s: float,
-                 on_progress: Optional[Callable[[dict], None]]):
+    def __init__(self, *, journal: Optional[ResultStore] = None,
+                 chaos: Optional[ChaosConfig] = None, max_retries: int = 2,
+                 backoff_base_s: float = 0.25,
+                 on_progress: Optional[Callable[[dict], None]] = None):
         if chaos is None:
             chaos = ChaosConfig.from_env()
         if (chaos is not None and chaos.state_dir is None
@@ -291,8 +290,9 @@ class KeyedExecutor(Executor):
     # -- the subclass contract -------------------------------------------
 
     def _dispatches(self, n_pending: int) -> bool:
-        """Whether ``n_pending`` tasks go to :meth:`_dispatch`."""
-        raise NotImplementedError
+        """Whether ``n_pending`` tasks go to :meth:`_dispatch` (never, for
+        the in-process base)."""
+        return False
 
     def _dispatch(self, fn, run: KeyedRun) -> None:
         """Compute ``run.pending``, reporting chunks via ``run.complete``."""

@@ -5,8 +5,8 @@ Dispatch
 
 ``Sweep.run`` derives every (point, trial) seed of the ``n_points x
 trials_per_point`` grid up front and sends the whole grid to the executor
-as **one work queue**.  Chunks then span point boundaries, so a parallel
-pool stays busy end-to-end instead of idling at the tail of every x
+as **one work queue**.  Chunks then span point boundaries, so parallel
+workers stay busy end-to-end instead of idling at the tail of every x
 point.  Trial ``t`` of point ``p`` runs at ``derive_seed(derive_seed(
 master_seed, p, stream=SWEEP_POINT_STREAM), t)``, so the outcomes are
 byte-identical at any job count, and byte-identical to a per-point loop

@@ -212,7 +212,7 @@ class TestLedgerLifecycle:
             maybe_inject(config, 23)  # yesterday's campaign fired it...
         for name in os.listdir(str(state)):
             self._backdate(os.path.join(str(state), name), 2 * 3600)
-        executor = ResilientExecutor(jobs=1, chaos=config, max_retries=0)
+        executor = ResilientExecutor(chaos=config, max_retries=0)
         with pytest.raises(ChaosError):  # ...and today's schedule is live
             executor.map_keyed(lambda x: x, [1], [(0, 0, 0, 23)])
 
@@ -224,5 +224,5 @@ class TestLedgerLifecycle:
         config = ChaosConfig(seed=1, exc=1.0, state_dir=str(tmp_path))
         with pytest.raises(ChaosError):
             maybe_inject(config, 23)
-        executor = ResilientExecutor(jobs=1, chaos=config, max_retries=0)
+        executor = ResilientExecutor(chaos=config, max_retries=0)
         assert executor.map_keyed(lambda x: x, [7], [(0, 0, 0, 23)]) == [7]

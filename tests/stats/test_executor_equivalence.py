@@ -40,7 +40,7 @@ from repro.stats.montecarlo import (
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.resilient import ResilientExecutor
+from repro.stats.fabric import FabricExecutor
 from repro.stats.sweep import (
     SWEEP_POINT_STREAM,
     Sweep,
@@ -84,12 +84,12 @@ class TestExecutorContract:
         mc_seq = MonteCarlo(master_seed=42, trials=10)
         mc_par = MonteCarlo(master_seed=42, trials=10)
         seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
-        par = mc_par.run(_synthetic_trial, executor=ResilientExecutor(jobs=4))
+        par = mc_par.run(_synthetic_trial, executor=get_executor(4))
         assert pickle.dumps(seq) == pickle.dumps(par)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
     def test_any_chunking_covers_all_items_in_order(self, chunk_size):
-        executor = ResilientExecutor(jobs=2, chunk_size=chunk_size)
+        executor = FabricExecutor(workers=2, chunk_size=chunk_size)
         outcomes = executor.map(_synthetic_trial, list(range(11)))
         assert [o.seed for o in outcomes] == list(range(11))
 
@@ -97,13 +97,13 @@ class TestExecutorContract:
         seen = []
         mc = MonteCarlo(master_seed=1, trials=8)
         mc.run(_synthetic_trial, progress=lambda i, o: seen.append(i),
-               executor=ResilientExecutor(jobs=3))
+               executor=get_executor(3))
         assert seen == list(range(8))
 
     def test_unpicklable_fn_degrades_to_sequential_with_warning(self):
         captured = []
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            outcomes = ResilientExecutor(jobs=2).map(
+            outcomes = get_executor(2).map(
                 lambda seed: captured.append(seed) or _synthetic_trial(seed),
                 [1, 2, 3])
         assert captured == [1, 2, 3]  # ran in-process
@@ -124,17 +124,17 @@ class TestExecutorContract:
         assert isinstance(get_executor(), SequentialExecutor)
         assert isinstance(get_executor(1), SequentialExecutor)
         executor = get_executor(4)
-        assert isinstance(executor, ResilientExecutor)
-        assert executor.jobs == 4
+        assert isinstance(executor, FabricExecutor)
+        assert executor.jobs == executor.workers == 4
 
     def test_resilient_executor_honours_the_same_contract(self):
         """The fault-tolerant backend is an Executor too: byte-identical
         ordered outcomes with no faults injected (its recovery paths are
-        exercised in tests/stats/test_resilient.py)."""
+        exercised in tests/stats/test_resilient.py and test_fabric.py)."""
         mc_seq = MonteCarlo(master_seed=42, trials=10)
         mc_res = MonteCarlo(master_seed=42, trials=10)
         seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
-        with ResilientExecutor(jobs=4) as executor:
+        with FabricExecutor(workers=4) as executor:
             res = mc_res.run(_synthetic_trial, executor=executor)
         assert pickle.dumps(seq) == pickle.dumps(res)
 
@@ -156,7 +156,7 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
     seq = Sweep(master_seed=11, trials_per_point=3).run(
         SMALL_GRID, trial_fn, executor=SequentialExecutor())
     par = Sweep(master_seed=11, trials_per_point=3).run(
-        SMALL_GRID, trial_fn, executor=ResilientExecutor(jobs=4))
+        SMALL_GRID, trial_fn, executor=get_executor(4))
     for point_seq, point_par in zip(seq, par):
         # byte-identical TrialOutcome lists (seeds, flags, values, extras)
         assert pickle.dumps(point_seq.extra) == pickle.dumps(point_par.extra)
@@ -174,7 +174,7 @@ def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
     reference_bytes = pickle.dumps(
         per_point_reference(7, 3, SMALL_GRID, trial_fn))
     for jobs in (1, 2, 4):
-        with ResilientExecutor(jobs=jobs) as executor:
+        with get_executor(jobs) as executor:
             flat = Sweep(master_seed=7, trials_per_point=3).run(
                 SMALL_GRID, trial_fn, executor=executor)
         assert pickle.dumps(flat) == reference_bytes
@@ -189,7 +189,7 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
         (Sweep(master_seed=4, trials_per_point=2),
          SMALL_GRID, fig08_failure_probability.page_trial),
     ]
-    with ResilientExecutor(jobs=3) as executor:
+    with get_executor(3) as executor:
         combined = run_flattened(specs, executor)
     separate = [
         per_point_reference(3, 2, SMALL_GRID,
@@ -224,7 +224,7 @@ class TestFlattenedInterleavingProperties:
         xs = [(float(i), f"p{i}") for i in range(n_points)]
         reference = per_point_reference(master, trials, xs,
                                         _synthetic_trial_x)
-        with ResilientExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
+        with FabricExecutor(workers=jobs, chunk_size=chunk_size) as executor:
             flat = Sweep(master_seed=master, trials_per_point=trials).run(
                 xs, _synthetic_trial_x, executor=executor)
         assert pickle.dumps(flat) == pickle.dumps(reference)

@@ -21,6 +21,8 @@ import pytest
 from repro.stats.chaos import ChaosConfig
 from repro.stats.fabric import (
     FABRIC_ENV_VAR,
+    FABRIC_KEY_ENV_VAR,
+    FabricAuthError,
     FabricCoordinator,
     FabricError,
     FabricExecutor,
@@ -34,6 +36,10 @@ from repro.stats.fabric import (
 from repro.stats.store import ResultStore, campaign_digest
 
 SPEC_DIGEST = campaign_digest({"campaign": "fabric-tests"})
+
+#: The shared fabric key of the tests that put external workers (or raw
+#: sockets) on a coordinator; locally forked workers need none.
+KEY = b"fabric-tests-key"
 
 #: The keyed task grid (sweep, point, trial, seed) — mirrors the
 #: resilient-executor suite so the two backends face identical work.
@@ -93,6 +99,16 @@ def _journal_lines(path):
 
 # -- protocol ---------------------------------------------------------------
 
+def _tagged_frame(body: bytes, key: bytes = KEY) -> bytes:
+    """A raw frame: length prefix, HMAC-SHA256 tag, body."""
+    import hashlib
+    import hmac
+    import struct
+
+    data = hmac.new(key, body, hashlib.sha256).digest() + body
+    return struct.pack(">I", len(data)) + data
+
+
 class TestProtocol:
     def _pair(self):
         left, right = socket.socketpair()
@@ -101,14 +117,14 @@ class TestProtocol:
     def test_roundtrip(self):
         left, right = self._pair()
         try:
-            send_message(left, {"type": "hello", "worker": "w", "n": 3})
-            assert recv_message(right) == {"type": "hello", "worker": "w",
-                                           "n": 3}
+            send_message(left, {"type": "hello", "worker": "w", "n": 3}, KEY)
+            assert recv_message(right, KEY) == {"type": "hello",
+                                                "worker": "w", "n": 3}
             # frames queue back-to-back without losing boundaries
-            send_message(right, {"type": "a"})
-            send_message(right, {"type": "b"})
-            assert recv_message(left) == {"type": "a"}
-            assert recv_message(left) == {"type": "b"}
+            send_message(right, {"type": "a"}, KEY)
+            send_message(right, {"type": "b"}, KEY)
+            assert recv_message(left, KEY) == {"type": "a"}
+            assert recv_message(left, KEY) == {"type": "b"}
         finally:
             left.close()
             right.close()
@@ -117,16 +133,16 @@ class TestProtocol:
         left, right = self._pair()
         left.close()
         try:
-            assert recv_message(right) is None
+            assert recv_message(right, KEY) is None
         finally:
             right.close()
 
     def test_malformed_frame_refused(self):
         left, right = self._pair()
         try:
-            left.sendall(b"\x00\x00\x00\x02[]")  # JSON but not an object
+            left.sendall(_tagged_frame(b"[]"))  # JSON but not an object
             with pytest.raises(FabricProtocolError, match="malformed"):
-                recv_message(right)
+                recv_message(right, KEY)
         finally:
             left.close()
             right.close()
@@ -136,7 +152,36 @@ class TestProtocol:
         try:
             left.sendall(b"\xff\xff\xff\xff")  # 4 GiB length prefix
             with pytest.raises(FabricProtocolError, match="cap"):
-                recv_message(right)
+                recv_message(right, KEY)
+        finally:
+            left.close()
+            right.close()
+
+    def test_wrong_key_frame_refused_before_decoding(self):
+        left, right = self._pair()
+        try:
+            send_message(left, {"type": "hello"}, b"another-key")
+            with pytest.raises(FabricAuthError, match="authentication"):
+                recv_message(right, KEY)
+            # an untagged frame (no key at all) fails the same check
+            left.sendall(b"\x00\x00\x00\x02{}")
+            with pytest.raises(FabricAuthError):
+                recv_message(right, KEY)
+        finally:
+            left.close()
+            right.close()
+
+    def test_tampered_frame_refused(self):
+        """One flipped byte anywhere in the body fails the tag check, so
+        an altered lease or result never reaches ``pickle.loads``."""
+        left, right = self._pair()
+        try:
+            frame = bytearray(_tagged_frame(
+                b'{"type":"result","lease":0,"payload":"gAU="}'))
+            frame[-5] ^= 0x01
+            left.sendall(bytes(frame))
+            with pytest.raises(FabricAuthError):
+                recv_message(right, KEY)
         finally:
             left.close()
             right.close()
@@ -155,7 +200,8 @@ class TestFromSpec:
             assert executor.workers == 2
             assert executor.bind == ("127.0.0.1", 0)
 
-    def test_parses_all_keys(self):
+    def test_parses_all_keys(self, monkeypatch):
+        monkeypatch.setenv(FABRIC_KEY_ENV_VAR, "lab-secret")
         executor = FabricExecutor.from_spec(
             "bind=0.0.0.0:7919,workers=4,chunk=8,heartbeat_s=0.5,"
             "timeout_s=3,steal_s=5,steals=1,retries=3,respawns=0,"
@@ -170,6 +216,20 @@ class TestFromSpec:
         assert executor.max_retries == 3
         assert executor.max_worker_respawns == 0
         assert executor.spec_digest == "abc123"
+        assert executor.key == b"lab-secret"
+
+    def test_serving_external_workers_without_a_key_refused(
+            self, monkeypatch):
+        """A non-loopback bind (or an external-workers-only fabric)
+        without a key would accept pickles from anyone who can connect."""
+        monkeypatch.delenv(FABRIC_KEY_ENV_VAR, raising=False)
+        with pytest.raises(FabricError, match=FABRIC_KEY_ENV_VAR):
+            FabricExecutor.from_spec("bind=0.0.0.0:7919,workers=2")
+        with pytest.raises(FabricError, match="without a key"):
+            FabricExecutor(workers=0)
+        # loopback with forked workers only: a per-run key, never shared
+        assert FabricExecutor(workers=2).key is None
+        assert FabricExecutor(workers=0, key=KEY).key == KEY
 
     def test_unknown_key_rejected_loudly(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -218,12 +278,18 @@ class TestDeterminism:
 
         tasks = TASKS[:20]
         retries = []
-        for name, backend in (("fabric", FabricExecutor),
-                              ("resilient", ResilientExecutor)):
+        for name in ("fabric", "resilient"):
             chaos = ChaosConfig(seed=3, exc=1.0,
                                 state_dir=str(tmp_path / name))
-            executor = backend(2, chaos=chaos, backoff_base_s=0.001)
-            with pytest.warns(RuntimeWarning, match="not picklable"):
+            if name == "fabric":
+                executor = FabricExecutor(2, chaos=chaos,
+                                          backoff_base_s=0.001)
+                with pytest.warns(RuntimeWarning, match="not picklable"):
+                    results = executor.map_keyed(
+                        lambda task: task[3] * task[3], tasks, tasks)
+            else:  # the in-process executor never pickles
+                executor = ResilientExecutor(chaos=chaos,
+                                             backoff_base_s=0.001)
                 results = executor.map_keyed(lambda task: task[3] * task[3],
                                              tasks, tasks)
             assert results == REFERENCE[:20]
@@ -255,7 +321,7 @@ class TestHandshake:
         # a slow trial body keeps the campaign alive long enough for the
         # foreign worker to reach the handshake
         executor = FabricExecutor(workers=1, chaos=None, chunk_size=2,
-                                  spec_digest="campaign-a")
+                                  spec_digest="campaign-a", key=KEY)
         results = []
         runner = threading.Thread(
             target=lambda: results.append(
@@ -268,8 +334,9 @@ class TestHandshake:
             time.sleep(0.01)
         assert executor.last_address is not None
 
-        foreign = FabricWorker(executor.last_address, digest="campaign-b",
-                               chaos=None, max_reconnects=0)
+        foreign = FabricWorker(executor.last_address, key=KEY,
+                               digest="campaign-b", chaos=None,
+                               max_reconnects=0)
         with pytest.raises(WorkerRefusedError, match="campaign-b"):
             foreign.run()
         runner.join(timeout=30.0)
@@ -281,7 +348,7 @@ class TestHandshake:
         a running campaign and completes leases."""
         executor = FabricExecutor(workers=0, chaos=None,
                                   spec_digest="campaign-a",
-                                  chunk_size=4)
+                                  chunk_size=4, key=KEY)
         results = []
         runner = threading.Thread(
             target=lambda: results.append(
@@ -293,12 +360,189 @@ class TestHandshake:
                 and time.monotonic() < deadline:
             time.sleep(0.01)
 
-        worker = FabricWorker(executor.last_address, digest="campaign-a",
-                              chaos=None)
+        worker = FabricWorker(executor.last_address, key=KEY,
+                              digest="campaign-a", chaos=None)
         completed = worker.run()  # returns after the shutdown message
         runner.join(timeout=30.0)
         assert results == [REFERENCE]
         assert completed >= 1
+
+
+def _wait_for(predicate, timeout_s: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class _ServedLease:
+    """A bare coordinator serving one lease of ``TASKS[0]`` from a side
+    thread, recording every completion it reports."""
+
+    def __init__(self):
+        from repro.stats.lease import ChunkLease
+
+        self.coordinator = FabricCoordinator(key=KEY)
+        self.address = self.coordinator.start()
+        self.completions = []
+        lease = ChunkLease([0], [TASKS[0]], [TASKS[0]], lease_id=0)
+        self.thread = threading.Thread(
+            target=self.coordinator.run, args=(_square, [lease]),
+            kwargs={"on_complete": lambda lease, payload:
+                    self.completions.append(payload)},
+            daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.coordinator.close()
+
+
+class TestAuthentication:
+    def test_result_from_unregistered_connection_dropped(self):
+        """A peer holding the key but skipping the handshake cannot
+        complete a lease: its ``result`` frame is counted and dropped
+        before anything is unpickled or journalled."""
+        from repro.stats.fabric import _pack
+
+        served = _ServedLease()
+        try:
+            forger = socket.create_connection(served.address)
+            send_message(forger, {"type": "result", "lease": 0,
+                                  "worker": "forger",
+                                  "payload": _pack(["forged"])}, KEY)
+            assert _wait_for(lambda: served.coordinator.counters.get(
+                "frames_rejected", 0) >= 1 or served.completions)
+            assert served.completions == []
+            assert served.coordinator.counters["workers_seen"] == 0
+            # the lease is still open: a registered worker completes it
+            worker = threading.Thread(
+                target=FabricWorker(served.address, key=KEY,
+                                    chaos=None).run, daemon=True)
+            worker.start()
+            served.thread.join(timeout=10.0)
+            assert served.completions == [[REFERENCE[0]]]
+            forger.close()
+        finally:
+            served.close()  # the shutdown frame releases the worker
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+    def test_impostor_without_key_never_registers(self):
+        """A peer speaking the untagged frames of protocol 1 and
+        presenting the (public) spec digest gets no welcome — so no
+        pickled callable — and its result is never delivered."""
+        import struct
+
+        served = _ServedLease()
+        try:
+            impostor = socket.create_connection(served.address)
+            for message in ({"type": "hello", "worker": "impostor",
+                             "digest": None, "protocol": 1},
+                            {"type": "result", "lease": 0,
+                             "worker": "impostor", "payload": "gAVdlC4="}):
+                body = json.dumps(message).encode("utf-8")
+                impostor.sendall(struct.pack(">I", len(body)) + body)
+            assert _wait_for(lambda: served.coordinator.counters.get(
+                "workers_refused", 0) >= 1 or served.completions)
+            counters = served.coordinator.counters
+            assert served.completions == []
+            assert counters["workers_seen"] == 0
+            assert counters["frames_rejected"] >= 1
+            # the refusal it gets back is tagged with a key it lacks
+            impostor.settimeout(5.0)
+            with pytest.raises(FabricAuthError):
+                recv_message(impostor, b"")
+            impostor.close()
+        finally:
+            served.close()
+
+    def test_wrong_key_worker_refused_without_reconnecting(self):
+        """A worker holding another key is refused at its first frame and
+        stops (no reconnect loop); the campaign finishes on the legitimate
+        local worker."""
+        from repro.stats.fabric import worker_main
+
+        executor = FabricExecutor(workers=1, chaos=None, chunk_size=2,
+                                  key=KEY)
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(
+                executor.map_keyed(_slow_square, TASKS, TASKS)),
+            daemon=True)
+        runner.start()
+        assert _wait_for(lambda: executor.last_address is not None)
+        host, port = executor.last_address
+        started = time.monotonic()
+        assert worker_main(f"{host}:{port}", key="not-the-key",
+                           max_reconnects=8) == 3
+        assert time.monotonic() - started < 5.0
+        runner.join(timeout=30.0)
+        assert results == [REFERENCE]
+        assert executor.counters["workers_refused"] >= 1
+        assert executor.counters["workers_seen"] == 1
+
+    def test_worker_without_a_key_exits_with_usage_error(self, monkeypatch):
+        from repro.stats.fabric import worker_main
+
+        monkeypatch.delenv(FABRIC_KEY_ENV_VAR, raising=False)
+        assert worker_main("127.0.0.1:9", max_reconnects=0) == 2
+
+
+def test_coordinator_stall_does_not_expire_live_workers():
+    """Silence is only evidence while the coordinator's own loop runs: a
+    loop stalled past a heartbeat interval (GC pause, host steal, a slow
+    journal flush) restarts every worker's clock instead of expiring
+    workers whose heartbeats sit unread in their sockets — the cause of
+    spurious re-leases (and recomputed chunks) under load."""
+    from repro.stats.fabric import _WorkerConn
+
+    coordinator = FabricCoordinator(key=KEY, heartbeat_interval_s=0.05)
+    left, right = socket.socketpair()
+    try:
+        conn = _WorkerConn(left, "peer")
+        conn.registered = True
+        coordinator._conns.add(conn)
+        coordinator.counters["workers"] = 1
+        now = time.monotonic()
+        conn.last_heartbeat = now - 1.0      # nothing heard for 1 s ...
+        coordinator._last_sweep = now - 1.0  # ... while the loop was stalled
+        coordinator._expire_silent_workers()
+        assert coordinator.counters["heartbeats_missed"] == 0
+        assert not conn.closed
+        # an attentive loop still expires a worker that stays silent
+        conn.last_heartbeat = time.monotonic() - 1.0
+        coordinator._expire_silent_workers()
+        assert coordinator.counters["heartbeats_missed"] == 1
+        assert conn.closed
+    finally:
+        left.close()
+        right.close()
+
+
+def _square_item(item):
+    return item * item
+
+
+def test_local_workers_exit_cleanly_after_short_maps(monkeypatch):
+    """Campaigns shorter than a worker's start-up: every local worker is
+    told to stop or finds the coordinator gone, and exits 0 on its own —
+    none outlives its campaign into the join timeout and a SIGTERM."""
+    exit_codes = []
+    stop_workers = FabricExecutor._stop_workers
+
+    def _recording(self, procs):
+        stop_workers(self, procs)
+        exit_codes.extend(proc.exitcode for proc in procs
+                          if proc is not None)
+
+    monkeypatch.setattr(FabricExecutor, "_stop_workers", _recording)
+    items = list(range(64))
+    for _ in range(8):
+        executor = FabricExecutor(workers=2, chaos=None)
+        assert executor.map(_square_item, items) == [i * i for i in items]
+    assert exit_codes == [0] * 16
 
 
 # -- recovery ---------------------------------------------------------------
@@ -504,7 +748,8 @@ def test_issue_acceptance_worker_killed_mid_campaign(
 
     # lost work is bounded by the crashed chunk: only its trials rerun
     executed = _executions(log)
-    assert len(tasks) <= len(executed) <= len(tasks) + executor.chunk_size
+    assert len(tasks) <= len(executed) <= len(tasks) + executor.chunk_size, \
+        executor.counters
 
     # zero recompute of journalled work: a fresh fabric run against the
     # complete journal executes nothing

@@ -1,9 +1,13 @@
-"""ResilientExecutor tests: recovery paths under deterministic chaos.
+"""Keyed-executor recovery tests under deterministic chaos.
 
-Every test pins the same bar: whatever faults are injected — worker
-crashes, hangs, transient exceptions, interrupts — a run that completes
-returns exactly the sequential reference results, and a run that dies
-leaves a journal a fresh run finishes from.
+Two backends share the keyed-run core: the in-process
+:class:`ResilientExecutor` (jobs=1) and the fabric of forked loopback
+workers that :func:`get_executor` returns above one job.  Every test
+pins the same bar on whichever backend its job count selects: whatever
+faults are injected — worker crashes, hangs, transient exceptions,
+interrupts — a run that completes returns exactly the sequential
+reference results, and a run that dies leaves a journal a fresh run
+finishes from.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import pytest
 
 from repro.stats.chaos import ChaosConfig, ChaosError
 from repro.stats.executor import SequentialExecutor
+from repro.stats.fabric import FabricError, FabricExecutor
 from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import ResultStore, campaign_digest
@@ -60,6 +65,15 @@ def _executions(path):
 REFERENCE = [seed * seed for _, _, _, seed in TASKS]
 
 
+def _executor(jobs: int, **options):
+    """The keyed backend of a job count: in-process at one job, forked
+    loopback fabric workers above (what ``--jobs`` selects)."""
+    if jobs == 1:
+        options.pop("chunk_size", None)
+        return ResilientExecutor(**options)
+    return FabricExecutor(workers=jobs, **options)
+
+
 def _chaos_seed_with(kind: str, rate: float, count: int = None) -> int:
     """A chaos seed whose schedule over TASKS has faults of only ``kind``
     (optionally exactly ``count`` of them) — deterministic scan."""
@@ -74,22 +88,25 @@ def _chaos_seed_with(kind: str, rate: float, count: int = None) -> int:
 
 class TestDeterminism:
     def test_matches_sequential_reference(self):
-        with ResilientExecutor(jobs=4) as executor:
+        with _executor(4) as executor:
+            assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
+        with _executor(1) as executor:
             assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
 
     def test_plain_map_uses_synthetic_keys(self):
-        with ResilientExecutor(jobs=2) as executor:
+        with _executor(2) as executor:
             assert executor.map(_square, TASKS) == REFERENCE
-        with ResilientExecutor(jobs=1) as executor:
+        with _executor(1) as executor:
             assert executor.map(_square, TASKS) == REFERENCE
 
     def test_mismatched_keys_rejected(self):
-        with ResilientExecutor(jobs=2) as executor:
-            with pytest.raises(ValueError, match="items but"):
-                executor.map_keyed(_square, TASKS, TASKS[:-1])
+        for jobs in (1, 2):
+            with _executor(jobs) as executor:
+                with pytest.raises(ValueError, match="items but"):
+                    executor.map_keyed(_square, TASKS, TASKS[:-1])
 
     def test_unpicklable_fn_degrades_to_sequential(self):
-        with ResilientExecutor(jobs=4) as executor:
+        with _executor(4) as executor:
             with pytest.warns(RuntimeWarning, match="not picklable"):
                 got = executor.map_keyed(lambda task: task[3] * task[3],
                                          TASKS, TASKS)
@@ -97,7 +114,7 @@ class TestDeterminism:
 
     def test_ordered_progress_callback_covers_every_index(self):
         seen = []
-        with ResilientExecutor(jobs=4) as executor:
+        with _executor(4) as executor:
             executor.map_keyed(_square, TASKS, TASKS,
                                progress=lambda i, r: seen.append((i, r)))
         assert seen == list(enumerate(REFERENCE))
@@ -109,13 +126,13 @@ class TestJournalResume:
         count_path = str(tmp_path / "executions.log")
         fn = _CountingTrial(count_path)
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2) as executor:
+            with _executor(2) as executor:
                 first = executor.map_keyed(fn, TASKS, TASKS, journal=journal)
         assert first == REFERENCE
         assert len(_executions(count_path)) == len(TASKS)
 
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2) as executor:
+            with _executor(2) as executor:
                 again = executor.map_keyed(fn, TASKS, TASKS, journal=journal)
                 assert executor.last_progress["cached"] == len(TASKS)
         assert again == REFERENCE
@@ -128,7 +145,7 @@ class TestJournalResume:
             for task in TASKS[:20]:
                 journal.record(task, _square(task))
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2) as executor:
+            with _executor(2) as executor:
                 got = executor.map_keyed(_CountingTrial(count_path), TASKS,
                                          TASKS, journal=journal)
             assert len(journal) == len(TASKS)
@@ -137,32 +154,34 @@ class TestJournalResume:
 
 
 class TestWorkerDeathRecovery:
-    def test_pool_rebuilt_and_results_identical(self, tmp_path):
+    def test_worker_respawned_and_results_identical(self, tmp_path):
+        # one worker: no survivor can absorb the crashed worker's lease,
+        # so the campaign completes only through a respawn
         chaos = ChaosConfig(seed=_chaos_seed_with("crash", 0.1),
                             crash=0.1, state_dir=str(tmp_path / "ledger"))
-        with ResilientExecutor(jobs=3, chaos=chaos,
-                               max_pool_rebuilds=10) as executor:
+        with FabricExecutor(workers=1, chaos=chaos,
+                            max_worker_respawns=10) as executor:
             got = executor.map_keyed(_square, TASKS, TASKS)
-            assert executor.last_progress["pool_rebuilds"] >= 1
+            assert executor.last_progress["respawns"] >= 1
         assert got == REFERENCE
 
-    def test_rebuild_budget_exhaustion_checkpoints_and_raises(self, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
+    def test_respawn_budget_exhaustion_checkpoints_and_raises(self, tmp_path):
+        # two crash faults kill both workers (each dies once, and every
+        # fault fires once), and the zero budget respawns neither
         journal_path = str(tmp_path / "journal.jsonl")
         chaos = ChaosConfig(seed=_chaos_seed_with("crash", 0.1, count=2),
                             crash=0.1, state_dir=str(tmp_path / "ledger"))
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2, chaos=chaos,
-                                   max_pool_rebuilds=0) as executor:
-                with pytest.raises(BrokenProcessPool, match="rerun to resume"):
+            with FabricExecutor(workers=2, chaos=chaos,
+                                max_worker_respawns=0) as executor:
+                with pytest.raises(FabricError, match="rerun to resume"):
                     executor.map_keyed(_square, TASKS, TASKS, journal=journal)
             completed_at_kill = len(journal)
         assert completed_at_kill < len(TASKS)
 
         # the journal is a valid checkpoint: a clean rerun finishes from it
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2) as executor:
+            with _executor(2) as executor:
                 got = executor.map_keyed(_square, TASKS, TASKS,
                                          journal=journal)
         assert got == REFERENCE
@@ -172,16 +191,16 @@ class TestTransientFaultRetry:
     def test_chaos_exceptions_retried_to_success(self, tmp_path):
         chaos = ChaosConfig(seed=_chaos_seed_with("exc", 0.15),
                             exc=0.15, state_dir=str(tmp_path / "ledger"))
-        with ResilientExecutor(jobs=3, chaos=chaos, max_retries=4,
-                               backoff_base_s=0.01) as executor:
+        with _executor(3, chaos=chaos, max_retries=4,
+                       backoff_base_s=0.01) as executor:
             got = executor.map_keyed(_square, TASKS, TASKS)
             assert executor.last_progress["retries"] >= 1
         assert got == REFERENCE
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_retries_surface_replay_coordinates(self, jobs):
-        with ResilientExecutor(jobs=jobs, chunk_size=1, max_retries=1,
-                               backoff_base_s=0.01) as executor:
+        with _executor(jobs, chunk_size=1, max_retries=1,
+                       backoff_base_s=0.01) as executor:
             with pytest.warns(RuntimeWarning, match="replay the failing"):
                 with pytest.raises(TrialExecutionError) as excinfo:
                     executor.map_keyed(_fragile, TASKS, TASKS)
@@ -201,38 +220,41 @@ class TestTransientFaultRetry:
 
 
 class TestStragglerRedispatch:
-    def test_hung_chunk_redispatched_first_completion_wins(self, tmp_path):
+    def test_hung_chunk_stolen_first_completion_wins(self, tmp_path):
         chaos = ChaosConfig(seed=_chaos_seed_with("hang", 0.08, count=1),
                             hang=0.08, hang_s=1.5,
                             state_dir=str(tmp_path / "ledger"))
-        with ResilientExecutor(jobs=3, chaos=chaos, chunk_timeout_s=0.3,
-                               max_retries=4) as executor:
+        with FabricExecutor(workers=3, chaos=chaos, steal_after_s=0.3,
+                            max_retries=4) as executor:
             got = executor.map_keyed(_square, TASKS, TASKS)
-            assert executor.last_progress["redispatches"] >= 1
+            assert executor.last_progress["leases_stolen"] >= 1
         assert got == REFERENCE
 
 
 class TestInterruptCheckpoint:
-    def test_interrupt_flushes_journal_and_drops_pool(self, tmp_path):
+    def test_interrupt_flushes_journal_and_stops_workers(self, tmp_path):
+        import multiprocessing
+
         journal_path = str(tmp_path / "journal.jsonl")
 
         def interrupt_after_first_fresh_chunk(progress):
             if progress["completed"] - progress["cached"] >= 1:
                 raise KeyboardInterrupt
 
-        executor = ResilientExecutor(
-            jobs=2, chunk_size=2,
-            on_progress=interrupt_after_first_fresh_chunk)
+        executor = _executor(2, chunk_size=2,
+                             on_progress=interrupt_after_first_fresh_chunk)
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
             with pytest.raises(KeyboardInterrupt):
                 executor.map_keyed(_square, TASKS, TASKS, journal=journal)
             assert journal.last_checkpoint is not None
-        assert executor._pool is None  # shut down with cancel_futures
+        # no worker outlives the interrupt, computing results nobody
+        # will collect
+        assert multiprocessing.active_children() == []
 
         # resume: the interrupted journal completes to the reference
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
             assert 0 < len(journal) < len(TASKS)
-            with ResilientExecutor(jobs=2) as clean:
+            with _executor(2) as clean:
                 got = clean.map_keyed(_square, TASKS, TASKS, journal=journal)
         assert got == REFERENCE
 
@@ -250,7 +272,7 @@ class TestInterruptCheckpoint:
                 return _square(task)
 
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=1) as executor:
+            with _executor(1) as executor:
                 with pytest.raises(KeyboardInterrupt):
                     executor.map_keyed(_Interrupting(), TASKS, TASKS,
                                        journal=journal)
@@ -266,22 +288,21 @@ class TestProgressReporting:
             for task in TASKS[:8]:
                 journal.record(task, _square(task))
         with ResultStore(journal_path, SPEC_DIGEST) as journal:
-            with ResilientExecutor(jobs=2,
-                                   on_progress=snapshots.append) as executor:
+            with _executor(2, on_progress=snapshots.append) as executor:
                 executor.map_keyed(_square, TASKS, TASKS, journal=journal)
         assert snapshots[0]["cached"] == 8  # "resumed at 8/32" surfaced first
         assert snapshots[0]["completed"] == 8
         final = snapshots[-1]
         assert final["completed"] == final["total"] == len(TASKS)
         assert final["last_checkpoint"] is not None
-        assert {"retries", "redispatches", "pool_rebuilds"} <= set(final)
+        assert {"retries", "redispatches", "respawns"} <= set(final)
 
     def test_chaos_config_resolved_from_env(self, monkeypatch, tmp_path):
         from repro.stats.chaos import CHAOS_ENV_VAR
 
         monkeypatch.setenv(CHAOS_ENV_VAR,
                            f"seed=5,exc=0.5,state={tmp_path / 'ledger'}")
-        executor = ResilientExecutor(jobs=2)
+        executor = ResilientExecutor()
         assert executor.chaos == ChaosConfig(
             seed=5, exc=0.5, state_dir=str(tmp_path / "ledger"))
         executor.close()
@@ -290,7 +311,7 @@ class TestProgressReporting:
         from repro.stats.chaos import CHAOS_ENV_VAR
 
         monkeypatch.setenv(CHAOS_ENV_VAR, "seed=5,crash=0.1")
-        executor = ResilientExecutor(jobs=2)
+        executor = ResilientExecutor()
         # a crash schedule without a durable ledger would re-kill forever
         assert executor.chaos.state_dir is not None
         executor.close()
